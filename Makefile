@@ -9,7 +9,7 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X dyngraph/internal/buildinfo.Version=$(VERSION)
 
-.PHONY: tier1 vet build test race ci bench benchsmoke trace-smoke fuzz-smoke crash-smoke hibernate-smoke incremental-smoke cluster-smoke obs-smoke grow-smoke install
+.PHONY: tier1 vet build test race ci bench benchsmoke pushbench-smoke trace-smoke fuzz-smoke crash-smoke hibernate-smoke incremental-smoke cluster-smoke obs-smoke grow-smoke install
 
 tier1: vet build test
 
@@ -50,6 +50,15 @@ bench:
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/cadbench -exp block -sizes 300
+
+# End-to-end push benchmark smoke: pushbench is a nested module, so
+# tier-1 `go test ./...` skips it. Its own tests pin the workload shapes
+# (n, m, exact edits per push), the build-mode checks and the planted
+# clique being flagged by an in-process detector replay — the checks
+# that keep a solver change from silently changing what the benchmark
+# measures. Takes a few seconds; CI runs this.
+pushbench-smoke:
+	cd pushbench && $(GO) test -count=1 .
 
 # Incremental-updates smoke: a small run of the warm-vs-Woodbury push
 # benchmark plus the incremental path's differential test suite — the

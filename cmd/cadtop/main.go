@@ -131,6 +131,9 @@ type statusDoc struct {
 		P50Seconds float64 `json:"p50_seconds"`
 		P99Seconds float64 `json:"p99_seconds"`
 	} `json:"push_latency"`
+	Solver map[string]struct {
+		Precond string `json:"precond"`
+	} `json:"solver"`
 	SlowestPushes []struct {
 		Stream  string  `json:"stream"`
 		TraceID string  `json:"trace_id"`
@@ -314,10 +317,11 @@ func renderStreams(cur, prev *sample) string {
 	return "\nper-stream pushes/s\n" + bars
 }
 
-// renderSLO tabulates each stream's objective, recent percentiles and
-// multi-window burn rates. A burn rate above 1 is eating error budget.
+// renderSLO tabulates each stream's objective, recent percentiles,
+// pinned solver preconditioner and multi-window burn rates. A burn
+// rate above 1 is eating error budget.
 func renderSLO(st *statusDoc) string {
-	if len(st.SLO) == 0 && len(st.PushLatency) == 0 {
+	if len(st.SLO) == 0 && len(st.PushLatency) == 0 && len(st.Solver) == 0 {
 		return ""
 	}
 	seen := map[string]bool{}
@@ -328,12 +332,18 @@ func renderSLO(st *statusDoc) string {
 	}
 	for name := range st.PushLatency {
 		if !seen[name] {
+			seen[name] = true
+			names = append(names, name)
+		}
+	}
+	for name := range st.Solver {
+		if !seen[name] {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	var b strings.Builder
-	b.WriteString("\nstream          objective       p50       p99   burn rates\n")
+	b.WriteString("\nstream          objective       p50       p99  precond   burn rates\n")
 	for _, name := range names {
 		obj, burns := "      -", "-"
 		if s, ok := st.SLO[name]; ok {
@@ -350,7 +360,11 @@ func renderSLO(st *statusDoc) string {
 		if l, ok := st.PushLatency[name]; ok {
 			p50, p99 = formatSeconds(l.P50Seconds), formatSeconds(l.P99Seconds)
 		}
-		fmt.Fprintf(&b, "%-15s %9s %9s %9s   %s\n", clip(name, 15), obj, p50, p99, burns)
+		precond := "-"
+		if sv, ok := st.Solver[name]; ok && sv.Precond != "" {
+			precond = sv.Precond
+		}
+		fmt.Fprintf(&b, "%-15s %9s %9s %9s  %-7s   %s\n", clip(name, 15), obj, p50, p99, precond, burns)
 	}
 	return b.String()
 }

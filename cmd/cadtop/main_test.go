@@ -27,6 +27,7 @@ const nodeStatusz = `{
           "burn_rates": [{"window": "5m0s", "total": 9, "slow": 0, "burn_rate": 0},
                          {"window": "1h0m0s", "total": 9, "slow": 0, "burn_rate": 0}]}},
   "push_latency": {"prices": {"samples": 9, "p50_seconds": 0.002, "p99_seconds": 0.017}},
+  "solver": {"prices": {"precond": "jacobi"}},
   "slowest_pushes": [{"stream": "prices", "trace_id": "deadbeefdeadbeefdeadbeefdeadbeef", "seconds": 0.017}]
 }`
 
@@ -96,6 +97,8 @@ func TestCadtopNodeFrame(t *testing.T) {
 		"trades",
 		"burn rates",
 		"5m0s 0.0x",
+		"precond",
+		"jacobi",
 		"slowest recent pushes",
 		"trace deadbeefdeadbeefdeadbeefdeadbeef",
 	} {

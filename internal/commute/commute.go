@@ -220,6 +220,17 @@ type BuildStats struct {
 	// PrecondReused is true when the solver's preconditioner setup was
 	// shared or patched from the previous snapshot instead of rebuilt.
 	PrecondReused bool
+	// Precond is the preconditioner kind the build's solver ran
+	// ("tree", "jacobi" or "none"); on warm and incremental builds it
+	// is the pin inherited from the previous build.
+	Precond string
+	// Probed is true when this build picked its preconditioner by
+	// probing: a cold PrecondAuto build, or a warm one whose previous
+	// solves drifted far over the pin's estimate.
+	Probed bool
+	// ProbeIterations is the number of PCG iterations the probe spent.
+	// They are not part of PCGIterations, which counts solve work only.
+	ProbeIterations int
 	// Mode is the build path taken: "cold" (no reusable previous
 	// embedding), "warm" (blocked PCG warm-started from the previous
 	// solution block) or "incremental" (low-rank Woodbury correction,
@@ -357,7 +368,16 @@ func newEmbeddingShell(g *graph.Graph, prev *Embedding, diff []graph.Key, cfg Co
 	if prev != nil {
 		mode = "warm"
 	}
-	emb.stats = BuildStats{Rows: k, Warm: prev != nil, PrecondReused: emb.lap.ReusedPrecond(), Mode: mode}
+	probe := emb.lap.Probe()
+	emb.stats = BuildStats{
+		Rows:            k,
+		Warm:            prev != nil,
+		PrecondReused:   emb.lap.ReusedPrecond(),
+		Precond:         emb.lap.Precond().String(),
+		Probed:          probe.Ran,
+		ProbeIterations: probe.Iterations,
+		Mode:            mode,
+	}
 	return emb
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dyngraph/internal/graph"
+	"dyngraph/internal/solver"
 )
 
 // editGraph returns g with a few edge edits (reweights, inserts,
@@ -176,5 +177,92 @@ func TestSharedProjectionsApproximatesExact(t *testing.T) {
 	}
 	if avg := relErr / pairs; avg > 0.35 {
 		t.Fatalf("mean relative error %.3f too high for k=200", avg)
+	}
+}
+
+// tieredPath is a path with log-uniform weights in [10⁻², 10²] plus
+// `chords` weak random chords — a graph the probe pins to the spanning
+// tree.
+func tieredPath(rng *rand.Rand, n, chords int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 1; i < n; i++ {
+		b.AddEdge(i-1, i, math.Pow(10, rng.Float64()*4-2))
+	}
+	for added := 0; added < chords; {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i != j && j != i+1 && i != j+1 && b.Weight(i, j) == 0 {
+			b.AddEdge(i, j, 1e-3*(1+rng.Float64()))
+			added++
+		}
+	}
+	return b.MustBuild()
+}
+
+// The preconditioner pick is a pure function of the graph: two cold
+// builds of the same graph probe identically, pin the same kind and
+// produce bit-identical embeddings — on a graph that pins Jacobi and on
+// one that pins the tree.
+func TestEmbeddingProbeDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	cfg := Config{K: 8, Seed: 3, Solver: solver.Options{Tol: 1e-5}}
+	for _, c := range []struct {
+		g    *graph.Graph
+		want string
+	}{{benchGraph(300), "jacobi"}, {tieredPath(rng, 300, 280), "tree"}} {
+		g := c.g
+		a, err := NewEmbedding(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewEmbedding(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sa, sb := a.Stats(), b.Stats()
+		if !sa.Probed || sa.Precond != c.want || sa.Precond != sb.Precond || sa.ProbeIterations != sb.ProbeIterations || sa.PCGIterations != sb.PCGIterations {
+			t.Fatalf("builds differ: %+v vs %+v", sa, sb)
+		}
+		for i := range a.z {
+			if math.Float64bits(a.z[i]) != math.Float64bits(b.z[i]) {
+				t.Fatalf("%s-pinned embeddings differ at %d", sa.Precond, i)
+			}
+		}
+	}
+}
+
+// A stream's pin survives a planted clique that lifts average degree
+// past 4: the warm build keeps the tree, patches the forest
+// (PrecondReused) and does not probe.
+func TestEmbeddingFromKeepsPinAcrossDegreeCrossing(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const n = 400
+	g0 := tieredPath(rng, n, n-20)
+	b := graph.NewBuilder(n)
+	for _, e := range g0.Edges() {
+		b.SetEdge(e.I, e.J, e.W)
+	}
+	for a := 0; a < 10; a++ {
+		for c := a + 1; c < 10; c++ {
+			b.SetEdge(a*37, c*37, 1)
+		}
+	}
+	g1 := b.MustBuild()
+	if d := 2 * float64(g1.NumEdges()) / n; d <= 4 {
+		t.Fatalf("average degree %.2f after the clique, want > 4", d)
+	}
+	cfg := Config{K: 8, Seed: 5, SharedProjections: true, Solver: solver.Options{Tol: 1e-5}}
+	cold, err := NewEmbedding(g0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.Stats(); st.Precond != "tree" || !st.Probed || st.ProbeIterations == 0 {
+		t.Fatalf("cold build: %+v, want a probed tree pin", st)
+	}
+	warm, err := NewEmbeddingFrom(g1, cold, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats(); st.Precond != "tree" || !st.PrecondReused || st.Probed || st.ProbeIterations != 0 {
+		t.Fatalf("warm build after the clique: %+v, want the reused tree pin", st)
 	}
 }

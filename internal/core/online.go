@@ -90,6 +90,15 @@ type OracleStats struct {
 	// PrecondReused is true when the solver preconditioner was shared
 	// or patched rather than rebuilt.
 	PrecondReused bool
+	// Precond is the embedding solver's preconditioner kind ("tree",
+	// "jacobi" or "none") — the stream's pin; "" for exact oracles.
+	Precond string
+	// Probed is true when this build picked the preconditioner by
+	// probing rather than inheriting the pin.
+	Probed bool
+	// ProbeIterations is the probe's PCG iteration count, kept out of
+	// PCGIterations.
+	ProbeIterations int
 	// PCGIterations is the total PCG iteration count the build
 	// performed across its k solves (0 for exact oracles).
 	PCGIterations int
@@ -175,6 +184,9 @@ func (o *OnlineDetector) buildOracle(g *graph.Graph, t int, prev commute.Oracle,
 		st.VerifySkipped = bs.VerifySkipped
 		st.SparsifiedEdges = bs.SparsifiedEdges
 		st.PrecondReused = bs.PrecondReused
+		st.Precond = bs.Precond
+		st.Probed = bs.Probed
+		st.ProbeIterations = bs.ProbeIterations
 		st.PCGIterations = bs.PCGIterations
 		st.BlockIterations = bs.BlockIterations
 		if bs.Warm {

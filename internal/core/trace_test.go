@@ -128,6 +128,15 @@ func TestOnlinePushTraceWarmEmbedding(t *testing.T) {
 		if !ok || iters.Value().(int64) <= 0 {
 			t.Fatalf("trace %d pcg span iterations = %v, want > 0", i, iters)
 		}
+		// Only the cold build probes for the preconditioner; warm builds
+		// inherit the pin and carry no probe attributes.
+		pick, probed := oracle.Child("precond").Attr("pick")
+		if probed != (i == 0) {
+			t.Fatalf("trace %d precond span pick = %v, probed %v, want probed only on the cold build", i, pick, probed)
+		}
+		if _, ok := oracle.Child("precond").Attr("probe_jacobi_est"); ok != probed {
+			t.Fatalf("trace %d precond span probe estimate present = %v, want %v", i, ok, probed)
+		}
 	}
 }
 

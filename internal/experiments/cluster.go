@@ -102,12 +102,15 @@ type ClusterResult struct {
 const clusterNote = "Both phases route through the cluster router on loopback. " +
 	"Every node runs the same per-node memory budget, sized so one shard " +
 	"(streams/nodes) occupies ~50% of it: the cluster keeps every shard " +
-	"resident and pushes take the warm incremental path, while the single " +
-	"node holds the whole population at ~(nodes x 50%) of budget and must " +
-	"churn streams through hibernation, paying a cold oracle rebuild on " +
-	"rehydration. The speedup is therefore memory-capacity scaling " +
-	"(the daemon's governing resource), not CPU parallelism — the harness " +
-	"runs the nodes in one process."
+	"resident and pushes warm-start from the previous embedding, while the " +
+	"single node holds the whole population at ~(nodes x 50%) of budget and " +
+	"must churn streams through hibernation, paying a cold oracle rebuild on " +
+	"rehydration. Each round redraws a stream's whole graph from a fresh " +
+	"seed (path weights jittered, every chord rewired), so every push " +
+	"changes every edge: warm pushes run warm-started PCG, never the " +
+	"low-rank incremental update. The speedup is therefore memory-capacity " +
+	"scaling (the daemon's governing resource), not CPU parallelism — the " +
+	"harness runs the nodes in one process."
 
 // clusterStreamConfig is the per-stream detector shape: shared
 // projections with incremental updates (the warm fast path), embedding
@@ -125,8 +128,11 @@ func clusterStreamConfig() service.StreamConfig {
 }
 
 // clusterSnapshot builds stream s's round-r snapshot: a connected
-// sparse graph with jittered weights plus a handful of rewired edges
-// per round, so incremental updates engage on warm streams.
+// sparse graph (a jittered-weight path plus N random chords) drawn
+// afresh from a per-(stream, round) seed. Consecutive rounds share no
+// edge weights and few chords, so every push changes every edge and
+// warm streams run warm-started PCG rather than the low-rank
+// incremental update.
 func clusterSnapshot(cfg ClusterConfig, s, r int) *graph.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(s)*1009 + int64(r)*31))
 	b := graph.NewBuilder(cfg.N)

@@ -166,6 +166,7 @@ func New(cfg Config) *Server {
 	m.describe("cadd_pcg_iterations_total", "PCG iterations spent building embedding oracles, summed per column.")
 	m.describe("cadd_pcg_block_iterations_total", "Blocked-PCG iterations (matrix traversals) spent building embedding oracles; iterations_total / block_iterations_total is the SpMM amortization factor.")
 	m.describe("cadd_pcg_cold_estimate_total", "Estimated PCG iterations the same builds would have cost without warm starts.")
+	m.describe("cadd_precond_probes_total", "Embedding builds that picked the solver preconditioner by probing (cold builds and drift re-probes), by the kind picked; other builds keep the stream's pin.")
 	m.describe("cadd_sparsified_edges_total", "Edges dropped by the effective-resistance pre-solver cap (sparsify_target_nnz).")
 	m.describe("cadd_slow_pushes_total", "Pushes that crossed the stream's slow-push logging threshold.")
 	m.describe("cadd_recovered_streams_total", "Streams restored from their on-disk journal at boot.")

@@ -523,4 +523,15 @@ func TestWarmStreamMatchesBatchDetector(t *testing.T) {
 	if blk <= 0 || blk >= iters {
 		t.Errorf("block iterations = %g, want in (0, %g): the blocked solver should serve many columns per traversal", blk, iters)
 	}
+
+	// Only the cold build probes for a preconditioner; the warm builds
+	// inherit its pin, which /statusz reports.
+	solvers, _ := srv.Statusz()["solver"].(map[string]statuszSolver)
+	pin := solvers["warm"].Precond
+	if pin != "jacobi" && pin != "tree" {
+		t.Fatalf("statusz solver section %+v, want the warm stream's pin", solvers)
+	}
+	if p := srv.metrics.counterValue("cadd_precond_probes_total", labels("stream", "warm", "pick", pin)); p != 1 {
+		t.Errorf("probes picking %s = %g, want 1", pin, p)
+	}
 }

@@ -58,6 +58,12 @@ type statuszLatency struct {
 	P99Seconds float64 `json:"p99_seconds"`
 }
 
+// statuszSolver is one stream's embedding-solver state: the
+// preconditioner kind the stream is pinned to.
+type statuszSolver struct {
+	Precond string `json:"precond"`
+}
+
 // statuszSlowPush identifies one of the node's slowest recent pushes,
 // with enough identity (trace id, request id) to pull its full span
 // tree from /debug/traces.
@@ -74,11 +80,12 @@ const slowestPushLimit = 5
 
 // Statusz assembles the node's operational snapshot: build identity,
 // uptime, stream census, budget residency, ingest and durability
-// counter rollups, per-stream SLO burn rates and recent push-latency
-// percentiles, the slowest recent pushes, and any pluggable sections
-// from Config.StatusSections (runtime sampler, cluster peer health,
-// replication progress). Returned as a map so section names stay
-// data-driven; json.Marshal orders the keys alphabetically.
+// counter rollups, per-stream SLO burn rates, recent push-latency
+// percentiles and pinned solver preconditioner, the slowest recent
+// pushes, and any pluggable sections from Config.StatusSections
+// (runtime sampler, cluster peer health, replication progress).
+// Returned as a map so section names stay data-driven; json.Marshal
+// orders the keys alphabetically.
 func (s *Server) Statusz() map[string]any {
 	infos := s.ListStreams()
 	resident, hibernated := s.stateCounts()
@@ -118,8 +125,12 @@ func (s *Server) Statusz() map[string]any {
 
 	slo := make(map[string]statuszSLO)
 	latency := make(map[string]statuszLatency)
+	solvers := make(map[string]statuszSolver)
 	var slowest []statuszSlowPush
 	for _, st := range s.streamsByID("") {
+		if kind, _ := st.precond.Load().(string); kind != "" {
+			solvers[st.id] = statuszSolver{Precond: kind}
+		}
 		if st.slo != nil {
 			slo[st.id] = statuszSLO{
 				ObjectiveSeconds: st.slo.Objective(),
@@ -159,6 +170,9 @@ func (s *Server) Statusz() map[string]any {
 	}
 	if len(latency) > 0 {
 		doc["push_latency"] = latency
+	}
+	if len(solvers) > 0 {
+		doc["solver"] = solvers
 	}
 	if len(slowest) > 0 {
 		sort.Slice(slowest, func(i, j int) bool { return slowest[i].Seconds > slowest[j].Seconds })

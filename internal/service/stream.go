@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sync"
+	"sync/atomic"
 
 	"dyngraph/internal/core"
 	"dyngraph/internal/graph"
@@ -59,6 +60,11 @@ type stream struct {
 	det       *core.OnlineDetector
 	processed int64
 	lastErr   error
+
+	// precond is the preconditioner kind the stream's embedding solver
+	// is pinned to (a string; unset before the first embedding build),
+	// stored by the worker and read by /statusz without taking detMu.
+	precond atomic.Value
 
 	// Slow-push detection state, touched only by the worker goroutine:
 	// a ring of recent push latencies for the adaptive p99 threshold.
@@ -333,6 +339,10 @@ func (s *stream) run() {
 				s.metrics.add("cadd_pcg_iterations_total", labels("stream", s.id), float64(ost.PCGIterations))
 				s.metrics.add("cadd_pcg_block_iterations_total", labels("stream", s.id), float64(ost.BlockIterations))
 				s.metrics.add("cadd_pcg_cold_estimate_total", labels("stream", s.id), float64(ost.ColdEstimateIterations))
+				s.precond.Store(ost.Precond)
+				if ost.Probed {
+					s.metrics.add("cadd_precond_probes_total", labels("stream", s.id, "pick", ost.Precond), 1)
+				}
 				if ost.SparsifiedEdges > 0 {
 					s.metrics.add("cadd_sparsified_edges_total", labels("stream", s.id), float64(ost.SparsifiedEdges))
 				}

@@ -81,18 +81,29 @@ func benchSolve(b *testing.B, g *graph.Graph, prec Precond) {
 	b.ReportMetric(float64(iters), "pcg-iters")
 }
 
-func BenchmarkPCGPreconditionerAblation(b *testing.B) {
+// ablationFamily is one graph family of the preconditioner ablation.
+type ablationFamily struct {
+	name string
+	g    *graph.Graph
+}
+
+// ablationFamilies builds the ablation's three n=2000 families from a
+// fixed seed, shared by the benchmark and TestPrecondProbePicksCheapest.
+func ablationFamilies() []ablationFamily {
 	rng := rand.New(rand.NewSource(7))
-	families := []struct {
-		name string
-		g    *graph.Graph
-	}{
+	return []ablationFamily{
 		{"cluster", clusterGraph(rng, 2000)},
 		{"neartree", nearTreeGraph(rng, 2000)},
 		{"random", uniformRandomGraph(rng, 2000)},
 	}
-	for _, fam := range families {
-		for _, prec := range []Precond{PrecondTree, PrecondJacobi, PrecondNone} {
+}
+
+// BenchmarkPCGPreconditionerAblation times one cold solve per family
+// and preconditioner; the auto rows include the probe's pick (its cost
+// is setup, outside the timed loop — see BenchmarkLaplacianSetup).
+func BenchmarkPCGPreconditionerAblation(b *testing.B) {
+	for _, fam := range ablationFamilies() {
+		for _, prec := range []Precond{PrecondAuto, PrecondTree, PrecondJacobi, PrecondNone} {
 			b.Run(fmt.Sprintf("%s/%s", fam.name, prec), func(b *testing.B) {
 				benchSolve(b, fam.g, prec)
 			})
@@ -103,7 +114,7 @@ func BenchmarkPCGPreconditionerAblation(b *testing.B) {
 func BenchmarkLaplacianSetup(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	g := uniformRandomGraph(rng, 5000)
-	for _, prec := range []Precond{PrecondTree, PrecondJacobi} {
+	for _, prec := range []Precond{PrecondAuto, PrecondTree, PrecondJacobi} {
 		b.Run(prec.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = NewLaplacian(g, Options{Precond: prec})

@@ -105,11 +105,26 @@ func (s *Laplacian) SolveBlockFrom(x, b []float64, k, workers int) ([]Stats, err
 	return s.solveBlock(x, b, k, workers, true)
 }
 
-// solveBlock is the blocked PCG loop. Every kernel call performs, per
+// solveBlock runs the blocked PCG loop and records its mean per-column
+// iteration count, the history the pin's drift check reads (see
+// NewLaplacianFrom).
+func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Stats, error) {
+	stats, err := s.pcgBlock(x, b, k, workers, warm)
+	if len(stats) > 0 {
+		total := 0
+		for _, st := range stats {
+			total += st.Iterations
+		}
+		s.lastIters = float64(total) / float64(len(stats))
+	}
+	return stats, err
+}
+
+// pcgBlock is the blocked PCG loop. Every kernel call performs, per
 // column, the same floating-point operations in the same order as the
 // single-RHS loop in solve — the bit-equality contract the equivalence
 // tests in block_test.go pin down.
-func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Stats, error) {
+func (s *Laplacian) pcgBlock(x, b []float64, k, workers int, warm bool) ([]Stats, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("solver: SolveBlock non-positive block width %d", k)
 	}

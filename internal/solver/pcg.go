@@ -2,10 +2,20 @@
 // systems L x = b. The paper relies on the Spielman–Teng near-linear
 // SDD solver (via Khoa & Chawla's commute-time embedding); this package
 // is our from-scratch, stdlib-only substitute: preconditioned conjugate
-// gradient with a density-aware choice between a max-weight
-// spanning-tree preconditioner (sparse, tree-like graphs) and a Jacobi
-// diagonal (dense similarity graphs), plus the null-space projection
-// that makes the singular Laplacian system well posed.
+// gradient with either a max-weight spanning-tree preconditioner
+// (tree-like graphs) or a Jacobi diagonal (expanders, similarity
+// graphs), plus the null-space projection that makes the singular
+// Laplacian system well posed.
+//
+// Which preconditioner a graph gets is measured, not guessed: under
+// PrecondAuto a cold build runs a short, capped PCG probe of each
+// candidate on one fixed right-hand side and pins the cheaper
+// extrapolated cost (see NewLaplacian). The probe reads only iteration
+// counts and residuals, never the clock, so the pick is a pure
+// function of the graph and the tolerance. Rebuilds from a previous
+// solver (NewLaplacianFrom) inherit its pin, so a stream keeps one
+// preconditioner across pushes unless its solves drift far above the
+// pin's estimate.
 package solver
 
 import (
@@ -21,14 +31,17 @@ import (
 type Precond int
 
 const (
-	// PrecondAuto (the default) picks by graph density: the spanning
-	// forest for sparse, tree-like graphs (average degree ≤ 4 — the
-	// m = O(n) regime of the paper's scalability study, where it beats
-	// Jacobi by orders of magnitude) and the Jacobi diagonal for
-	// denser graphs (similarity graphs, expanders — where a tree is a
-	// poor spectral sketch and each tree solve is wasted O(n) work).
-	// The crossover was measured on this repository's own workloads;
-	// see BenchmarkPCGPreconditionerAblation.
+	// PrecondAuto (the default) picks by a capped probe: Jacobi is
+	// run for at most probeIters PCG iterations on a fixed right-hand
+	// side and its iteration count to tolerance extrapolated from the
+	// residual reached; when that estimate is small the Jacobi
+	// diagonal is pinned without building the spanning forest.
+	// Otherwise the forest is built, probed the same way, and the
+	// candidate with the lower estimated iterations × per-iteration
+	// cost wins. Degree does not decide: a sparse expander wants Jacobi
+	// and a weighted near-tree wants the forest, whatever their average
+	// degree (BenchmarkPCGPreconditionerAblation,
+	// TestPrecondProbePicksCheapest).
 	PrecondAuto Precond = iota
 	// PrecondTree uses the exact pseudoinverse of a max-weight
 	// spanning forest of the graph.
@@ -54,10 +67,6 @@ func (p Precond) String() string {
 		return fmt.Sprintf("Precond(%d)", int(p))
 	}
 }
-
-// autoDegreeCutoff is the average-degree boundary between the tree and
-// Jacobi preconditioners under PrecondAuto.
-const autoDegreeCutoff = 4
 
 // Options configures a Laplacian solver.
 type Options struct {
@@ -123,6 +132,19 @@ type Laplacian struct {
 	reused    bool          // preconditioner carried over from a previous snapshot
 	reuseKind string        // "" (cold), "shared" or "patched" — the reuse path taken
 
+	// The pin: probe is what PrecondAuto measured when this solver was
+	// built cold (zero when the kind was explicit or inherited);
+	// estIters is the pinned kind's estimated cold iterations per
+	// column, carried along every rebuild that inherits the pin (0 when
+	// unknown). lastIters is the mean per-column iteration count of
+	// this solver's latest block solve (0 before one); reprobed marks a
+	// solver built by a drift re-probe, whose direct successor may not
+	// re-probe again.
+	probe     Probe
+	estIters  float64
+	lastIters float64
+	reprobed  bool
+
 	opt Options
 
 	// scratch buffers reused across Solve calls
@@ -134,39 +156,83 @@ type Laplacian struct {
 	blk *blockScratch
 }
 
-// resolvePrecond applies the PrecondAuto density rule for g.
-func resolvePrecond(g *graph.Graph, opt Options) Precond {
-	precond := opt.Precond
-	if precond == PrecondAuto {
-		if n := g.N(); n > 0 && 2*float64(g.NumEdges())/float64(n) <= autoDegreeCutoff {
-			precond = PrecondTree
-		} else {
-			precond = PrecondJacobi
-		}
-	}
-	return precond
+// Probe records how PrecondAuto picked a cold solver's preconditioner.
+// Estimates are iteration counts to the solver's tolerance,
+// extrapolated from a capped PCG run on a fixed right-hand side and
+// capped at the solver's MaxIter.
+type Probe struct {
+	// Ran is true when this solver's preconditioner was chosen by a
+	// probe (a PrecondAuto cold build or a drift re-probe).
+	Ran bool
+	// Iterations is the number of probe PCG iterations spent, over
+	// both candidates.
+	Iterations int
+	// JacobiEst is the Jacobi candidate's estimate.
+	JacobiEst float64
+	// TreeEst is the spanning-tree candidate's estimate; 0 when Jacobi
+	// was cheap enough that the forest was never built.
+	TreeEst float64
 }
 
-// NewLaplacian prepares a solver for the Laplacian of g.
+const (
+	// probeIters caps each candidate's probe run. Sixteen iterations
+	// are enough for the residual's decay rate to settle on every
+	// family the ablation covers, and cost a small fraction of the
+	// cold solve the probe precedes.
+	probeIters = 16
+	// probeJacobiAccept is the Jacobi estimate at or below which the
+	// probe pins Jacobi without building and probing the forest. It
+	// trades pick quality for probe cost: expander-like graphs land
+	// well below it (22–55 on the push benchmark's Jacobi workloads)
+	// and never pay for the forest, while a graph just under it may
+	// leave a better tree unused at a cost of at most a few dozen
+	// Jacobi iterations per solve.
+	probeJacobiAccept = 80
+	// driftFactor is how far a pinned solver's block solve may run
+	// over the pin's estimate (iterations per column) before the next
+	// rebuild re-probes.
+	driftFactor = 2
+)
+
+// NewLaplacian prepares a solver for the Laplacian of g. Under
+// PrecondAuto it picks the preconditioner by probing (see PrecondAuto);
+// an explicit Options.Precond is used as given.
 func NewLaplacian(g *graph.Graph, opt Options) *Laplacian {
-	n := g.N()
+	s := newLaplacianShell(g, opt)
+	if opt.Precond == PrecondAuto {
+		s.pickByProbe(g)
+	} else {
+		s.setPrecond(g, opt.Precond)
+	}
+	return s
+}
+
+// newLaplacianShell builds the matrix, the component labelling and the
+// single-RHS scratch — everything but the preconditioner.
+func newLaplacianShell(g *graph.Graph, opt Options) *Laplacian {
 	comp, ncomp := g.Components()
 	size := make([]int, ncomp)
 	for _, c := range comp {
 		size[c]++
 	}
-	precond := resolvePrecond(g, opt)
 	s := &Laplacian{
-		n:       n,
-		l:       g.Laplacian(),
-		comp:    comp,
-		size:    size,
-		precond: precond,
-		opt:     opt,
+		n:    g.N(),
+		l:    g.Laplacian(),
+		comp: comp,
+		size: size,
+		opt:  opt,
 	}
-	switch precond {
+	s.allocScratch()
+	return s
+}
+
+// setPrecond builds the preconditioner of kind p for g.
+func (s *Laplacian) setPrecond(g *graph.Graph, p Precond) {
+	s.precond = p
+	s.invDiag, s.tree, s.tsum = nil, nil, nil
+	switch p {
 	case PrecondJacobi:
-		s.invDiag = make([]float64, n)
+		s.invDiag = make([]float64, s.n)
 		for i, d := range g.Degrees() {
 			if d > 0 {
 				s.invDiag[i] = 1 / d
@@ -174,14 +240,96 @@ func NewLaplacian(g *graph.Graph, opt Options) *Laplacian {
 		}
 	case PrecondTree:
 		s.tree = maxWeightSpanningTree(g)
+		s.tsum = make([]float64, len(s.tree.compSize))
 	}
-	s.allocScratch()
-	return s
+}
+
+// pickByProbe pins the preconditioner PrecondAuto measures cheapest for
+// g: Jacobi outright when its estimate is at most probeJacobiAccept,
+// otherwise whichever of Jacobi and the spanning tree has the lower
+// estimated iterations × per-iteration cost, counted in matrix entries
+// touched: nnz(L)+n for a Jacobi iteration, nnz(L)+4n for a tree one
+// (the forest solve sweeps the vertices down and up the tree).
+func (s *Laplacian) pickByProbe(g *graph.Graph) {
+	b := probeRHS(s.n)
+	x := make([]float64, s.n)
+	s.setPrecond(g, PrecondJacobi)
+	it, jacobi := s.probeRun(x, b)
+	s.probe = Probe{Ran: true, Iterations: it, JacobiEst: jacobi}
+	s.estIters = jacobi
+	if jacobi <= probeJacobiAccept {
+		return
+	}
+	invDiag := s.invDiag
+	s.setPrecond(g, PrecondTree)
+	it, tree := s.probeRun(x, b)
+	s.probe.Iterations += it
+	s.probe.TreeEst = tree
+	nnz, n := float64(s.l.NNZ()), float64(s.n)
+	if tree*(nnz+4*n) < jacobi*(nnz+n) {
+		s.estIters = tree
+		return
+	}
+	s.precond, s.invDiag, s.tree, s.tsum = PrecondJacobi, invDiag, nil, nil
+}
+
+// probeRun runs at most probeIters PCG iterations from zero on b with
+// the current preconditioner and returns the iterations spent and the
+// extrapolated iteration count to the solver's tolerance,
+// it·ln(tol)/ln(res) — PCG's residual decays roughly geometrically, so
+// the rate over the first iterations predicts the rest. A run that
+// converges reports its true count; one that makes no progress reports
+// the solver's MaxIter.
+func (s *Laplacian) probeRun(x, b []float64) (int, float64) {
+	saved := s.opt
+	s.opt.MaxIter = probeIters
+	st, _ := s.solve(x, b, false)
+	s.opt = saved
+	tol, maxIt := s.opt.tol(), float64(s.opt.maxIter(s.n))
+	switch {
+	case st.Residual <= tol:
+		return st.Iterations, float64(st.Iterations)
+	case st.Iterations == 0 || !(st.Residual < 1):
+		return st.Iterations, maxIt
+	}
+	return st.Iterations, math.Min(maxIt, float64(st.Iterations)*math.Log(tol)/math.Log(st.Residual))
+}
+
+// probeRHS is the probe's fixed right-hand side: a ±1 vector with
+// signs from a hash of the vertex index (so no vertex ordering — a
+// path laid out in index order, say — lines up with it), seed-free so
+// every build of the same graph probes the same system. solve
+// projects it onto range(L).
+func probeRHS(n int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		h := uint64(i+1) * 0x9E3779B97F4A7C15
+		h ^= h >> 31
+		h *= 0xBF58476D1CE4E5B9
+		h ^= h >> 29
+		if h&1 == 0 {
+			b[i] = 1
+		} else {
+			b[i] = -1
+		}
+	}
+	return b
 }
 
 // NewLaplacianFrom prepares a solver for the Laplacian of g, reusing
 // the setup prev built for the previous snapshot prevG (same vertex
 // set) wherever that is sound; neither prev nor prevG is modified.
+//
+// Under PrecondAuto the new solver keeps prev's preconditioner kind —
+// the stream's pin — on every path, cold fallbacks included; nothing
+// re-measures the graph. The one exception is drift: when prev's
+// latest block solve took more than driftFactor× the pin's estimated
+// iterations per column, the pin no longer describes the graph and
+// the new solver is built cold with a fresh probe. A solver built by
+// such a re-probe never re-probes its direct successor, so the
+// re-probe cannot fire on two consecutive pushes. An explicit
+// Options.Precond overrides the pin.
+//
 // Reuse rules:
 //
 //   - If no edge weight changed, the whole setup (matrix, component
@@ -204,20 +352,17 @@ func NewLaplacian(g *graph.Graph, opt Options) *Laplacian {
 //     iterations) but never correctness: any spanning forest of the
 //     graph's components is a valid SPD preconditioner on range(L).
 //
-// Anything else falls back to a cold NewLaplacian build. ReusedPrecond
-// reports which path was taken.
+// Anything else falls back to a cold build of the pinned kind.
+// ReusedPrecond reports which path was taken.
 func NewLaplacianFrom(g, prevG *graph.Graph, prev *Laplacian, opt Options) *Laplacian {
-	if prev == nil || prevG == nil || prev.n != g.N() {
-		return NewLaplacian(g, opt)
-	}
-	if resolvePrecond(g, opt) != prev.precond {
-		return NewLaplacian(g, opt)
-	}
-	diff, err := graph.DiffSupport(prevG, g)
-	if err != nil {
-		// Vertex counts differ (prev.n == g.N() rules this out today,
-		// but keep the reuse path panic-free): build cold.
-		return NewLaplacian(g, opt)
+	var diff []graph.Key
+	if prev != nil && prevG != nil && prev.n == g.N() {
+		var err error
+		if diff, err = graph.DiffSupport(prevG, g); err != nil {
+			// Vertex counts differ (prev.n == g.N() rules this out
+			// today, but keep the reuse path panic-free): build cold.
+			prevG = nil
+		}
 	}
 	return NewLaplacianFromDiff(g, prevG, prev, diff, opt)
 }
@@ -226,20 +371,26 @@ func NewLaplacianFrom(g, prevG *graph.Graph, prev *Laplacian, opt Options) *Lapl
 // hold DiffSupport(prevG, g) — the streaming incremental path diffs
 // consecutive snapshots to pick its build strategy and threads the
 // result here, so the edit support is walked once per push instead of
-// once per layer. diff must be exactly DiffSupport(prevG, g).
+// once per layer. diff must be exactly DiffSupport(prevG, g); a nil
+// prevG (or a vertex-count change) skips reuse but keeps the pin.
 func NewLaplacianFromDiff(g, prevG *graph.Graph, prev *Laplacian, diff []graph.Key, opt Options) *Laplacian {
-	if prev == nil || prevG == nil || prev.n != g.N() {
+	if prev == nil {
 		return NewLaplacian(g, opt)
 	}
-	precond := resolvePrecond(g, opt)
-	if precond != prev.precond {
-		return NewLaplacian(g, opt)
+	if opt.Precond == PrecondAuto && prev.drifted() {
+		s := NewLaplacian(g, opt)
+		s.reprobed = true
+		return s
+	}
+	if prevG == nil || prev.n != g.N() || pinOf(prev, opt) != prev.precond {
+		return newPinned(g, prev, opt)
 	}
 	if len(diff) == 0 {
 		cl := prev.Clone()
 		cl.opt = opt
 		cl.reused = true
 		cl.reuseKind = "shared"
+		cl.inheritPin(prev)
 		cl.adoptBlockScratch(prev)
 		return cl
 	}
@@ -248,27 +399,64 @@ func NewLaplacianFromDiff(g, prevG *graph.Graph, prev *Laplacian, diff []graph.K
 			return s
 		}
 	}
-	if precond != PrecondTree {
-		return NewLaplacian(g, opt)
+	if prev.precond != PrecondTree {
+		return newPinned(g, prev, opt)
 	}
 	tree, ok := prev.tree.patched(g, diff)
 	if !ok {
-		return NewLaplacian(g, opt)
+		return newPinned(g, prev, opt)
 	}
 	s := &Laplacian{
 		n:         prev.n,
 		l:         g.Laplacian(),
 		comp:      prev.comp, // component structure unchanged by the patch rules
 		size:      prev.size,
-		precond:   precond,
+		precond:   PrecondTree,
 		tree:      tree,
 		reused:    true,
 		reuseKind: "patched",
 		opt:       opt,
 	}
+	s.inheritPin(prev)
 	s.allocScratch()
 	s.adoptBlockScratch(prev)
 	return s
+}
+
+// pinOf is the preconditioner a rebuild from prev uses: the explicit
+// choice in opt, or prev's pinned kind under PrecondAuto.
+func pinOf(prev *Laplacian, opt Options) Precond {
+	if opt.Precond != PrecondAuto {
+		return opt.Precond
+	}
+	return prev.precond
+}
+
+// newPinned is the cold fallback of the reuse paths: a fresh build of
+// g with prev's pinned kind (or the explicit one in opt), no probe.
+func newPinned(g *graph.Graph, prev *Laplacian, opt Options) *Laplacian {
+	s := newLaplacianShell(g, opt)
+	s.setPrecond(g, pinOf(prev, opt))
+	s.inheritPin(prev)
+	return s
+}
+
+// inheritPin carries prev's estimate over to a solver built from it
+// with the same kind; the probe record and the iteration history
+// belong to prev's own build and solves, so they start afresh.
+func (s *Laplacian) inheritPin(prev *Laplacian) {
+	s.probe, s.lastIters, s.reprobed, s.estIters = Probe{}, 0, false, 0
+	if s.precond == prev.precond {
+		s.estIters = prev.estIters
+	}
+}
+
+// drifted reports whether this solver's latest block solve ran more
+// than driftFactor× over its pin's estimate, so the next rebuild
+// should re-probe. A solver that was itself built by a re-probe never
+// reports drift.
+func (s *Laplacian) drifted() bool {
+	return !s.reprobed && s.estIters > 0 && s.lastIters > driftFactor*s.estIters
 }
 
 // supportUnchanged reports whether every differing pair carries a
@@ -340,6 +528,7 @@ func (prev *Laplacian) patchedVals(g, prevG *graph.Graph, diff []graph.Key, opt 
 		}
 		s.tree = tree
 	}
+	s.inheritPin(prev)
 	s.allocScratch()
 	s.adoptBlockScratch(prev)
 	return s
@@ -375,6 +564,15 @@ func (s *Laplacian) N() int { return s.n }
 // NewLaplacianFrom instead of being built cold.
 func (s *Laplacian) ReusedPrecond() bool { return s.reused }
 
+// Precond returns the preconditioner kind this solver runs — never
+// PrecondAuto, which resolves to a concrete kind at build time.
+func (s *Laplacian) Precond() Precond { return s.precond }
+
+// Probe reports the probe that picked this solver's preconditioner;
+// Probe().Ran is false when the kind was explicit or inherited from a
+// previous solver.
+func (s *Laplacian) Probe() Probe { return s.probe }
+
 // Project removes each component's mean from x in place — the
 // single-vector form of ProjectBlock, with bit-identical arithmetic to
 // one of its columns.
@@ -387,7 +585,21 @@ func (s *Laplacian) Project(x []float64) {
 
 // project removes each component's mean from x in place, mapping it
 // into the range of L (the orthogonal complement of the null space).
+// A connected graph takes a fast path without the component
+// indirection; its arithmetic (one running sum in vertex order, one
+// division, one subtraction per entry) is the general loop's.
 func (s *Laplacian) project(x []float64) {
+	if len(s.size) == 1 {
+		var sum float64
+		for _, v := range x {
+			sum += v
+		}
+		mean := sum / float64(s.size[0])
+		for i := range x {
+			x[i] -= mean
+		}
+		return
+	}
 	sums := s.csum
 	for c := range sums {
 		sums[c] = 0

@@ -255,26 +255,72 @@ func TestTreePreconditionerSpeedsConvergence(t *testing.T) {
 	}
 }
 
-func TestPrecondAutoSelectsByDensity(t *testing.T) {
+// iterationCost is the per-iteration cost model the probe ranks
+// candidates by, in matrix entries touched.
+func iterationCost(s *Laplacian) float64 {
+	nnz, n := float64(s.l.NNZ()), float64(s.n)
+	switch s.precond {
+	case PrecondTree:
+		return nnz + 4*n
+	case PrecondJacobi:
+		return nnz + n
+	}
+	return nnz
+}
+
+// The probe must pick a preconditioner whose cold solve costs at most
+// twice the best explicit candidate's, counted as iterations × the
+// per-iteration cost model — deterministic counts, so this gates in
+// tier-1 where wall time could not. The ablation families span both
+// regimes: the tree wins by orders of magnitude on the near-tree and
+// loses by an order of magnitude on the cluster and random graphs.
+func TestPrecondProbePicksCheapest(t *testing.T) {
+	for _, fam := range ablationFamilies() {
+		rhs := projectedRHS(rand.New(rand.NewSource(99)), fam.g.N())
+		cost := func(opt Options) (float64, *Laplacian) {
+			opt.MaxIter = 1000000
+			s := NewLaplacian(fam.g, opt)
+			_, st, err := s.Solve(rhs)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fam.name, opt.Precond, err)
+			}
+			return float64(st.Iterations) * iterationCost(s), s
+		}
+		auto, s := cost(Options{})
+		if !s.Probe().Ran || s.Precond() == PrecondAuto {
+			t.Fatalf("%s: auto build did not probe (probe %+v, precond %v)", fam.name, s.Probe(), s.Precond())
+		}
+		best := math.Inf(1)
+		for _, prec := range []Precond{PrecondTree, PrecondJacobi} {
+			c, _ := cost(Options{Precond: prec})
+			best = math.Min(best, c)
+		}
+		if auto > 2*best {
+			t.Errorf("%s: auto picked %v at cost %.3g, best explicit %.3g (probe %+v)",
+				fam.name, s.Precond(), auto, best, s.Probe())
+		}
+		t.Logf("%s: pick %v, probe %+v", fam.name, s.Precond(), s.Probe())
+	}
+}
+
+// Explicit choices bypass the probe and are honored verbatim.
+func TestPrecondExplicitSkipsProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	sparseG := randomTree(rng, 50) // avg degree < 2
-	dense := graph.NewBuilder(30)
-	for i := 0; i < 30; i++ {
-		for j := i + 1; j < 30; j++ {
-			dense.AddEdge(i, j, 1)
+	g := uniformRandomGraph(rng, 200)
+	for _, prec := range []Precond{PrecondTree, PrecondJacobi, PrecondNone} {
+		s := NewLaplacian(g, Options{Precond: prec})
+		if s.Precond() != prec || s.Probe().Ran {
+			t.Fatalf("explicit %v: got %v, probe %+v", prec, s.Precond(), s.Probe())
 		}
 	}
-	denseG := dense.MustBuild() // avg degree 29
+}
 
-	if s := NewLaplacian(sparseG, Options{}); s.precond != PrecondTree {
-		t.Fatalf("sparse graph resolved to %v, want tree", s.precond)
-	}
-	if s := NewLaplacian(denseG, Options{}); s.precond != PrecondJacobi {
-		t.Fatalf("dense graph resolved to %v, want jacobi", s.precond)
-	}
-	// Explicit choices are honored verbatim.
-	if s := NewLaplacian(denseG, Options{Precond: PrecondTree}); s.precond != PrecondTree {
-		t.Fatal("explicit tree overridden")
+// A graph with no edges has nothing to probe: Jacobi is pinned without
+// building the forest.
+func TestPrecondProbeEdgeless(t *testing.T) {
+	s := NewLaplacian(graph.NewBuilder(4).MustBuild(), Options{})
+	if s.Precond() != PrecondJacobi || s.tree != nil || !s.Probe().Ran {
+		t.Fatalf("edgeless graph: precond %v, probe %+v", s.Precond(), s.Probe())
 	}
 }
 

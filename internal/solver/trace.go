@@ -12,7 +12,9 @@ import (
 
 // PrecondSpanName is the span the solver emits around preconditioner
 // setup; its "mode" attribute records the reuse path taken (cold,
-// shared or patched).
+// shared or patched), and builds that probed add the pick and both
+// candidates' estimates ("pick", "probe_jacobi_est", "probe_tree_est"
+// — the latter 0 when the forest was never built).
 const PrecondSpanName = "precond"
 
 // SolveSpanName is the span the solver emits around a blocked solve,
@@ -61,6 +63,12 @@ func annotatePrecond(sp *obs.Span, s *Laplacian) {
 	sp.SetString("mode", mode)
 	sp.SetInt("n", int64(s.n))
 	sp.SetInt("components", int64(len(s.size)))
+	if s.probe.Ran {
+		sp.SetString("pick", s.precond.String())
+		sp.SetFloat("probe_jacobi_est", s.probe.JacobiEst)
+		sp.SetFloat("probe_tree_est", s.probe.TreeEst)
+		sp.SetInt("probe_iterations", int64(s.probe.Iterations))
+	}
 }
 
 // SolveBlockTraced is SolveBlock with a solve span carrying the

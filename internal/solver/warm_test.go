@@ -124,14 +124,18 @@ func TestSolveFromAcrossEdit(t *testing.T) {
 	g1 := perturbGraph(rng, g0, 4)
 	b := projectedRHS(rng, 80)
 
-	s0 := NewLaplacian(g0, Options{})
+	// Explicitly tree-preconditioned: the edits exercise the
+	// patched-forest path, which PrecondAuto's probe would not pick on
+	// this uniform-weight graph.
+	opt := Options{Precond: PrecondTree}
+	s0 := NewLaplacian(g0, opt)
 	x0, _, err := s0.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s1 := NewLaplacianFrom(g1, g0, s0, Options{})
-	cold, coldSt, err := NewLaplacian(g1, Options{}).Solve(b)
+	s1 := NewLaplacianFrom(g1, g0, s0, opt)
+	cold, coldSt, err := NewLaplacian(g1, opt).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +158,9 @@ func TestSolveFromAcrossEdit(t *testing.T) {
 func TestNewLaplacianFromSharesUnchangedSetup(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomConnectedGraph(rng, 50)
-	s0 := NewLaplacian(g, Options{})
-	s1 := NewLaplacianFrom(g, g, s0, Options{})
+	opt := Options{Precond: PrecondTree} // share the forest, not just a diagonal
+	s0 := NewLaplacian(g, opt)
+	s1 := NewLaplacianFrom(g, g, s0, opt)
 	if !s1.ReusedPrecond() {
 		t.Fatal("identical graph did not reuse the preconditioner")
 	}
@@ -291,5 +296,119 @@ func TestCloneSolvesIndependently(t *testing.T) {
 				t.Fatalf("clone %d solve differs at %d", i, j)
 			}
 		}
+	}
+}
+
+// pathPlusChords returns a path over n vertices with log-uniform
+// weights in [10⁻², 10²] plus `chords` distinct random chords of weight
+// chordW() — tree-like for weak chords, expander-like once the chords
+// are as heavy as the path.
+func pathPlusChords(rng *rand.Rand, n, chords int, chordW func() float64) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 1; i < n; i++ {
+		b.AddEdge(i-1, i, math.Pow(10, rng.Float64()*4-2))
+	}
+	for added := 0; added < chords; {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i != j && j != i+1 && i != j+1 && b.Weight(i, j) == 0 {
+			b.AddEdge(i, j, chordW())
+			added++
+		}
+	}
+	return b.MustBuild()
+}
+
+// uniformReweight returns g with every edge reweighted to 1 + 0.1·U —
+// the same support, so rebuilds from a solver for g take the patched
+// path.
+func uniformReweight(rng *rand.Rand, g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.N())
+	for _, e := range g.Edges() {
+		b.SetEdge(e.I, e.J, 1+0.1*rng.Float64())
+	}
+	return b.MustBuild()
+}
+
+// The reuse paths' cold fallbacks keep the pin: Jacobi under an
+// inserted edge and the tree after a deleted forest edge are rebuilt
+// cold with the same kind and no probe. (The patched path keeping the
+// pin across a degree-4 crossing is covered at the embedding level,
+// TestEmbeddingFromKeepsPinAcrossDegreeCrossing.)
+func TestPinSurvivesColdFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	opt := Options{Tol: 1e-5}
+	tree := pathPlusChords(rng, 400, 380, func() float64 { return 1e-3 * (1 + rng.Float64()) })
+	jacobi := uniformReweight(rng, tree)
+	for _, c := range []struct {
+		g    *graph.Graph
+		edit func(*graph.Builder)
+		want Precond
+	}{
+		{tree, func(b *graph.Builder) { b.SetEdge(0, 1, 0) }, PrecondTree},
+		{jacobi, func(b *graph.Builder) { b.SetEdge(0, 200, 1) }, PrecondJacobi},
+	} {
+		s0 := NewLaplacian(c.g, opt)
+		if s0.Precond() != c.want {
+			t.Fatalf("cold build pinned %v (probe %+v), want %v", s0.Precond(), s0.Probe(), c.want)
+		}
+		b := copyGraph(c.g)
+		c.edit(b)
+		g1 := b.MustBuild()
+		s1 := NewLaplacianFrom(g1, c.g, s0, opt)
+		if s1.Precond() != c.want || s1.ReusedPrecond() || s1.Probe().Ran {
+			t.Fatalf("%v fallback: precond %v, reused %v, probe %+v", c.want, s1.Precond(), s1.ReusedPrecond(), s1.Probe())
+		}
+		if s1.estIters != s0.estIters {
+			t.Fatalf("%v fallback dropped the pin's estimate: %g, want %g", c.want, s1.estIters, s0.estIters)
+		}
+	}
+}
+
+// The drift re-probe: a tree-pinned stream whose weights turn uniform
+// solves far over the pin's estimate on the patched forest, so the
+// next rebuild re-probes — once — and moves to Jacobi; later pushes on
+// the uniform weights stay within the new estimate and keep the pin.
+func TestPinReprobesOnceOnDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n, k = 600, 4
+	g := pathPlusChords(rng, n, n, func() float64 { return 1e-3 })
+	opt := Options{Tol: 1e-5}
+	s := NewLaplacian(g, opt)
+	if s.Precond() != PrecondTree {
+		t.Fatalf("tree-like graph pinned %v (probe %+v)", s.Precond(), s.Probe())
+	}
+	y := blockRHS(rng, n, k)
+	x := make([]float64, n*k)
+	if _, err := s.SolveBlock(x, y, k, 1); err != nil {
+		t.Fatal(err)
+	}
+	var fired []int
+	var re *Laplacian // the solver the re-probe built, and its graph
+	var reG *graph.Graph
+	for push := 1; push <= 6; push++ {
+		next := uniformReweight(rng, g)
+		s1 := NewLaplacianFrom(next, g, s, opt)
+		if s1.Probe().Ran {
+			fired = append(fired, push)
+			re, reG = s1, next
+		}
+		if _, err := s1.SolveBlockFrom(x, y, k, 1); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("push %d: %v, est %.1f, %.1f iterations per column", push, s1.Precond(), s1.estIters, s1.lastIters)
+		s, g = s1, next
+	}
+	if len(fired) != 1 || fired[0] != 2 || s.Precond() != PrecondJacobi {
+		t.Fatalf("re-probes at pushes %v ending on %v, want one at push 2 moving to jacobi", fired, s.Precond())
+	}
+
+	// The re-probed solver never re-probes its direct successor, however
+	// far its own solves drift.
+	if !re.reprobed {
+		t.Fatal("re-probed solver not marked")
+	}
+	re.lastIters = 1e9
+	if s2 := NewLaplacianFrom(uniformReweight(rng, reG), reG, re, opt); s2.Probe().Ran || s2.Precond() != PrecondJacobi {
+		t.Fatalf("re-probe fired on two consecutive pushes (precond %v)", s2.Precond())
 	}
 }
