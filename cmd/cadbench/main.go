@@ -50,7 +50,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cadbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment id: table1, table2, fig2, fig3, fig4, fig5, fig6, verbatim, scale, stream, block, incremental, hibernate, cluster, ablation, distance, enron, dblp, precip, or all")
+		exp      = fs.String("exp", "all", "experiment id: table1, table2, fig2, fig3, fig4, fig5, fig6, verbatim, scale, stream, incremental, hibernate, cluster, ablation, distance, enron, dblp, precip, or all")
 		n        = fs.Int("n", 500, "synthetic GMM size for fig5/fig6 (paper: 2000)")
 		trials   = fs.Int("trials", 10, "realizations to average for fig5/fig6 (paper: 100)")
 		k        = fs.Int("k", 50, "commute-embedding dimension")
@@ -60,7 +60,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		family   = fs.String("family", "uniform", "graph family for -exp scale: uniform, preferential or smallworld")
 		plot     = fs.Bool("plot", false, "render ASCII charts alongside the tables (fig6 ROC, enron timeline)")
 		streams  = fs.Int("streams", 0, "stream count for -exp hibernate/cluster (0 = the experiment default)")
-		benchout = fs.String("benchout", "", "write -exp stream/block/incremental/hibernate/cluster results as JSON to this file (e.g. BENCH_stream.json)")
+		benchout = fs.String("benchout", "", "write -exp stream/incremental/hibernate/cluster results as JSON to this file (e.g. BENCH_stream.json)")
 		traceOut = fs.String("trace-out", "", "write -exp stream/incremental per-push pipeline traces to this file as Chrome trace_event JSON")
 		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 	)
@@ -302,20 +302,6 @@ func run(id string, cfg benchConfig) error {
 			return err
 		}
 		if err := res.WriteText(cfg.out); err != nil {
-			return err
-		}
-		return writeBenchout(cfg, res.WriteJSON)
-	case "block":
-		bcfg := experiments.BlockConfig{Seed: seed}
-		var err error
-		if bcfg.Sizes, err = parseSizes(sizes); err != nil {
-			return err
-		}
-		res, err := experiments.Block(bcfg)
-		if err != nil {
-			return err
-		}
-		if err := res.Table().Fprint(cfg.out); err != nil {
 			return err
 		}
 		return writeBenchout(cfg, res.WriteJSON)

@@ -45,7 +45,7 @@ func BenchmarkEmbeddingBuild(b *testing.B) {
 		for _, k := range []int{10, 50} {
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := NewEmbedding(g, Config{K: k, Seed: 1}); err != nil {
+					if _, err := NewEmbedding(g, nil, Config{K: k, Seed: 1}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -54,37 +54,10 @@ func BenchmarkEmbeddingBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbeddingBlockedVsPerRow is the headline comparison for the
-// blocked multi-RHS solver: the same k solves fused into one
-// SpMM-driven block PCG versus k independent single-RHS solves. Both
-// paths produce bit-identical embeddings
-// (TestBlockBuildMatchesPerRowBitwise); the block path wins on memory
-// traffic — one matrix traversal per iteration for all rows.
-func BenchmarkEmbeddingBlockedVsPerRow(b *testing.B) {
-	for _, n := range []int{2000, 5000} {
-		g := benchGraph(n)
-		cfg := Config{K: 24, Seed: 1, SharedProjections: true}
-		b.Run(fmt.Sprintf("n=%d/blocked", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewEmbedding(g, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/perrow", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewEmbeddingPerRowFrom(g, nil, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDistanceQuery(b *testing.B) {
 	g := benchGraph(300)
 	exact := NewExact(g)
-	emb, err := NewEmbedding(g, Config{K: 50, Seed: 1})
+	emb, err := NewEmbedding(g, nil, Config{K: 50, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,8 +29,6 @@ package commute
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"dyngraph/internal/dense"
 	"dyngraph/internal/graph"
@@ -110,8 +108,8 @@ type Config struct {
 	// the coefficient of every edge is independent of which other edges
 	// exist. Across consecutive snapshots of a stream this gives common
 	// random numbers: a row's right-hand side changes only where edges
-	// changed, which is what lets NewEmbeddingFrom warm-start each
-	// solve from the previous snapshot's solution, and it reduces the
+	// changed, which is what lets NewEmbedding warm-start each solve
+	// from the previous snapshot's solution, and it reduces the
 	// variance of commute-time *differences* between snapshots (the
 	// quantity CAD scores). The paper's experiments instead draw
 	// independent projections per instance; leave this false to
@@ -130,7 +128,7 @@ type Config struct {
 	// at 1 for small ones.
 	Workers int
 	// IncrementalUpdates enables the low-rank (Woodbury) update path in
-	// NewEmbeddingIncremental: when consecutive snapshots differ by at
+	// NewEmbedding: when consecutive snapshots differ by at
 	// most IncrementalMaxEdits edges and the component structure is
 	// unchanged, the embedding block is corrected directly — one base
 	// solve per edited edge plus O(n·k) dense work — instead of
@@ -211,11 +209,10 @@ type BuildStats struct {
 	// performed — the maximum per-row count, since the block solver
 	// carries all k rows per iteration and deactivates rows as they
 	// converge. Each block iteration streams the Laplacian once, so
-	// this (not PCGIterations) counts matrix traversals. Zero for the
-	// retained per-row build path.
+	// this (not PCGIterations) counts matrix traversals.
 	BlockIterations int
 	// Warm is true when the rows were warm-started from a previous
-	// snapshot's embedding (NewEmbeddingFrom with a compatible prev).
+	// snapshot's embedding (NewEmbedding with a compatible prev).
 	Warm bool
 	// PrecondReused is true when the solver's preconditioner setup was
 	// shared or patched from the previous snapshot instead of rebuilt.
@@ -263,7 +260,7 @@ type Embedding struct {
 	volume float64
 	z      []float64 // n*k, z[i*k:(i+1)*k] is vertex i's vector
 
-	// Retained for incremental rebuilds (NewEmbeddingFrom): the graph
+	// Retained for incremental rebuilds (NewEmbedding): the graph
 	// this embedding belongs to, the solver whose preconditioner the
 	// next snapshot may patch, and the config fingerprint that gates
 	// reuse. g and lap are immutable once built.
@@ -296,53 +293,86 @@ type Embedding struct {
 // Stats reports the work this embedding's build performed.
 func (e *Embedding) Stats() BuildStats { return e.stats }
 
-// NewEmbedding builds the approximate oracle by performing k Laplacian
-// solves. A solver convergence failure on any projection is reported as
-// an error (the partial embedding is not returned: a silently skewed
-// metric is worse than a loud failure).
-func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
-	return buildEmbedding(g, nil, cfg, nil)
-}
-
-// NewEmbeddingFrom builds the oracle for g incrementally from the
-// previous snapshot's embedding: the solver reuses (or patches) prev's
-// preconditioner where sound, and — because SharedProjections makes
-// each row's right-hand side change only where edges changed — every
-// row's solve is warm-started from prev's solution for that row.
-// Consecutive snapshots of a sparse stream differ by a few edges, so
-// warm-started PCG typically needs a small fraction of a cold build's
-// iterations; on an unchanged graph the rebuild is free and
-// bit-identical to prev.
+// NewEmbedding builds the approximate oracle for g by k Laplacian
+// solves, reusing the previous snapshot's embedding prev where that is
+// sound. It chooses, in order of preference:
 //
-// prev is ignored (cold build) when it is nil, or when reuse would be
-// unsound: SharedProjections off, or a different vertex count, K, Seed
-// or solver configuration. The built embedding records which path was
-// taken in Stats.
-func NewEmbeddingFrom(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	return NewEmbeddingFromTraced(g, prev, cfg, nil)
+//   - "incremental": the low-rank Woodbury correction of prev's block
+//     (see incremental.go), when Config.IncrementalUpdates is on and
+//     the snapshots differ by a few edges within one component
+//     structure;
+//   - "warm": one blocked PCG solve warm-started from prev's solution
+//     block, on a solver that reuses (or patches) prev's
+//     preconditioner. SharedProjections makes each row's right-hand
+//     side change only where edges changed, so a sparse stream's warm
+//     solves need a small fraction of a cold build's iterations, and an
+//     unchanged graph rebuilds for free, bit-identical to prev;
+//   - "cold": a blocked solve from zero.
+//
+// prev is ignored (cold build) when it is nil or incompatible (see
+// reusable). With Config.SparsifyTargetNNZ set, dense snapshots are
+// first capped by effective-resistance sampling, using prev's
+// resistances. Stats records the path taken.
+//
+// parent scopes the build's spans (nil disables them): "sparsify" when
+// the cap ran, the solver's "precond", then "projection" (right-hand
+// side assembly) and "pcg" on the warm/cold path, or "woodbury" and —
+// unless its residual certificate skips it — a verifying "pcg" on the
+// incremental one.
+//
+// A solver convergence failure on any projection is reported as an
+// error (the partial embedding is not returned: a silently skewed
+// metric is worse than a loud failure).
+func NewEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*Embedding, error) {
+	prev = reusable(g, prev, cfg)
+	var dropped int
+	var diff []graph.Key
+	// Sparsification, the diff and the Woodbury correction index state
+	// sized to the previous snapshot (resistance estimates, the RHS
+	// block), so they require an unchanged vertex set; a grown snapshot
+	// takes the warm build, which extends the rows.
+	if prev != nil && prev.n == g.N() {
+		if cfg.SparsifyTargetNNZ > 0 {
+			g, dropped = sparsify(g, prev, cfg, parent)
+		}
+		diff, _ = graph.DiffSupport(prev.g, g) // equal vertex counts: no error
+	}
+	emb := newEmbeddingShell(g, prev, diff, cfg, parent)
+	emb.stats.SparsifiedEdges = dropped
+	if cfg.IncrementalUpdates && prev != nil && prev.y != nil &&
+		len(diff) > 0 && len(diff) <= cfg.incrementalMaxEdits() {
+		done, err := emb.correct(prev, diff, cfg, parent)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return emb, nil
+		}
+	}
+	if err := emb.solve(prev, cfg, parent); err != nil {
+		return nil, err
+	}
+	return emb, nil
 }
 
-// NewEmbeddingFromTraced is NewEmbeddingFrom with observability spans
-// emitted under parent: "projection" (right-hand-side assembly) plus
-// the solver's "precond" and "pcg" spans, which together decompose the
-// build's cost and record its warm/cold mode and iteration counts. A
-// nil parent disables the spans.
-func NewEmbeddingFromTraced(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*Embedding, error) {
+// reusable returns prev when a build of g under cfg may reuse it, nil
+// otherwise: reuse needs SharedProjections (edge-keyed projection signs
+// are what make prev's solutions valid guesses), the same K, Seed and
+// solver configuration, and no fewer vertices. A grown vertex set
+// keeps prev — the retained rows' solutions stay valid warm guesses and
+// the new vertices' rows start at zero; only a shrunk one discards it.
+func reusable(g *graph.Graph, prev *Embedding, cfg Config) *Embedding {
 	if prev == nil || !cfg.SharedProjections || prev.g == nil ||
 		prev.n > g.N() || prev.key != cfg.key() {
-		// Growth (prev.n < g.N()) keeps prev: edge-keyed projection
-		// signs are position-independent, so the retained rows'
-		// solutions stay valid warm guesses and the new vertices'
-		// rows start at zero. Only a shrunk vertex set discards.
-		prev = nil
+		return nil
 	}
-	return buildEmbedding(g, prev, cfg, parent)
+	return prev
 }
 
-// newEmbeddingShell allocates the embedding and its solver, shared by
-// the block and per-row build paths; prev non-nil selects the
-// warm-started incremental path and must already be validated. parent
-// scopes the solver's preconditioner span (nil = untraced).
+// newEmbeddingShell allocates the embedding and builds its solver —
+// once per build, whichever path then fills z. prev non-nil must
+// already be validated (see reusable), and diff is
+// DiffSupport(prev.g, g), nil when the vertex counts differ.
 func newEmbeddingShell(g *graph.Graph, prev *Embedding, diff []graph.Key, cfg Config, parent *obs.Span) *Embedding {
 	n := g.N()
 	k := cfg.k()
@@ -354,20 +384,13 @@ func newEmbeddingShell(g *graph.Graph, prev *Embedding, diff []graph.Key, cfg Co
 		g:      g,
 		key:    cfg.key(),
 	}
-	if prev != nil && diff != nil {
-		// The incremental path already diffed the snapshots; hand the
-		// support down so the solver's patched fast path skips its own
-		// DiffSupport walk.
-		emb.lap = solver.NewLaplacianFromDiffTraced(g, prev.g, prev.lap, diff, cfg.Solver, parent)
-	} else if prev != nil {
-		emb.lap = solver.NewLaplacianFromTraced(g, prev.g, prev.lap, cfg.Solver, parent)
-	} else {
-		emb.lap = solver.NewLaplacianTraced(g, cfg.Solver, parent)
-	}
+	var prevG *graph.Graph
+	var prevLap *solver.Laplacian
 	mode := "cold"
 	if prev != nil {
-		mode = "warm"
+		prevG, prevLap, mode = prev.g, prev.lap, "warm"
 	}
+	emb.lap = solver.NewLaplacianFrom(g, prevG, prevLap, diff, cfg.Solver, parent)
 	probe := emb.lap.Probe()
 	emb.stats = BuildStats{
 		Rows:            k,
@@ -411,18 +434,18 @@ func projectionRHS(y []float64, stride, col, row int, edges []graph.Edge, cfg Co
 	}
 }
 
-// buildEmbedding performs the k Laplacian solves as one blocked
-// multi-RHS PCG call: the embedding's row-major z storage (vertex i's
-// vector at z[i*k:(i+1)*k]) is exactly the solver's block layout, so
-// the right-hand sides are assembled in place, the previous snapshot's
-// z doubles as the warm-start block with a single copy, and no per-row
+// solve fills z by the k Laplacian solves as one blocked multi-RHS
+// PCG call — warm-started from prev's block when prev is non-nil, cold
+// otherwise. The embedding's row-major z storage (vertex i's vector at
+// z[i*k:(i+1)*k]) is exactly the solver's block layout, so the
+// right-hand sides are assembled in place, the previous snapshot's z
+// doubles as the warm-start block with a single copy, and no per-row
 // gather/scatter remains. Workers shards the per-iteration SpMM row
-// ranges; the result is bit-identical for every value, and matches the
-// retained per-row reference path (buildEmbeddingPerRow) bit-for-bit.
-func buildEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*Embedding, error) {
-	emb := newEmbeddingShell(g, prev, nil, cfg, parent)
+// ranges; the result is bit-identical for every value, and matches k
+// independent single-column solves bit-for-bit.
+func (emb *Embedding) solve(prev *Embedding, cfg Config, parent *obs.Span) error {
 	n, k := emb.n, emb.k
-	edges := g.Edges()
+	edges := emb.g.Edges()
 	scale := 1 / math.Sqrt(float64(k))
 
 	proj := parent.StartChild("projection")
@@ -435,8 +458,6 @@ func buildEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Spa
 	proj.SetBool("shared", cfg.SharedProjections)
 	proj.End()
 
-	var stats []solver.Stats
-	var err error
 	if prev != nil {
 		// Warm start every column from the previous snapshot's
 		// solution — prev.z already is the n×k guess block. If the
@@ -454,147 +475,38 @@ func buildEmbedding(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Spa
 		if !sameComponents(emb.lap, prev.lap) {
 			emb.lap.ProjectBlock(emb.z, k)
 		}
-		stats, err = emb.lap.SolveBlockFromTraced(emb.z, y, k, cfg.workers(), parent)
-	} else {
-		stats, err = emb.lap.SolveBlockTraced(emb.z, y, k, cfg.workers(), parent)
 	}
+	stats, err := emb.lap.SolveBlockWith(emb.z, y, k, cfg.workers(), prev != nil, 0, parent)
+	emb.addIterations(stats)
+	if err != nil {
+		return fmt.Errorf("commute: embedding block solve: %w", err)
+	}
+	if cfg.retainRHS() {
+		emb.y = y
+		emb.certify(stats)
+	}
+	return nil
+}
+
+// addIterations adds a block solve's work to the build stats.
+func (emb *Embedding) addIterations(stats []solver.Stats) {
 	for _, st := range stats {
 		emb.stats.PCGIterations += st.Iterations
 		if st.Iterations > emb.stats.BlockIterations {
 			emb.stats.BlockIterations = st.Iterations
 		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("commute: embedding block solve: %w", err)
-	}
-	if cfg.retainRHS() {
-		emb.y = y
-		emb.resBound = make([]float64, k)
-		emb.normB = make([]float64, k)
-		for c, st := range stats {
-			emb.resBound[c] = st.Residual * st.NormB
-			emb.normB[c] = st.NormB
-		}
-	}
-	return emb, nil
 }
 
-// NewEmbeddingPerRowFrom builds the oracle with the pre-block path — k
-// independent single-RHS solves, optionally farmed out to Workers
-// goroutines over cloned solvers — warm-started from prev when it is
-// compatible (nil means cold). It produces bit-identical embeddings to
-// the block path and is retained as the reference implementation for
-// the equivalence tests and the blocked-vs-per-row benchmarks
-// (BenchmarkEmbeddingBlockedVsPerRow, cadbench -exp block).
-func NewEmbeddingPerRowFrom(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	if prev == nil || !cfg.SharedProjections || prev.g == nil ||
-		prev.n > g.N() || prev.key != cfg.key() {
-		// Same growth rule as NewEmbeddingFromTraced: retained rows
-		// warm-start, a shrunk vertex set discards.
-		prev = nil
+// certify resets the per-column residual certificates to a block
+// solve's measured values.
+func (emb *Embedding) certify(stats []solver.Stats) {
+	emb.resBound = make([]float64, emb.k)
+	emb.normB = make([]float64, emb.k)
+	for c, st := range stats {
+		emb.resBound[c] = st.Residual * st.NormB
+		emb.normB[c] = st.NormB
 	}
-	return buildEmbeddingPerRow(g, prev, cfg)
-}
-
-// buildEmbeddingPerRow is the per-row reference build loop behind
-// NewEmbeddingPerRowFrom. It stays untraced: the block path is the
-// production one, and the differential tests compare against this loop
-// with zero instrumentation in the way.
-func buildEmbeddingPerRow(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	emb := newEmbeddingShell(g, prev, nil, cfg, nil)
-	n, k := emb.n, emb.k
-	lap := emb.lap
-	edges := g.Edges()
-	scale := 1 / math.Sqrt(float64(k))
-	workers := cfg.workers()
-	if workers > k {
-		workers = k
-	}
-	// Mirror the block path's re-centering rule (see buildEmbedding).
-	recenter := prev != nil && !sameComponents(lap, prev.lap)
-
-	// solveRow assembles row's right-hand side, solves L x = y into the
-	// reusable scratch x, and scatters the solution into the
-	// embedding's column. It returns the solve's PCG iteration count.
-	solveRow := func(lap *solver.Laplacian, y, x []float64, row int) (int, error) {
-		sparse.Zero(y)
-		projectionRHS(y, 1, 0, row, edges, cfg, scale)
-		var st solver.Stats
-		var err error
-		if prev != nil {
-			// Warm start from the previous snapshot's solution of this
-			// row's (slightly different) system. On a grown vertex set
-			// only the retained vertices have previous values; new
-			// vertices' entries start at zero, like the block path.
-			sparse.Zero(x)
-			for i := 0; i < n && i < prev.n; i++ {
-				x[i] = prev.z[i*k+row]
-			}
-			if recenter {
-				lap.Project(x)
-			}
-			st, err = lap.SolveFromInto(x, y)
-		} else {
-			st, err = lap.SolveInto(x, y)
-		}
-		if err != nil {
-			return st.Iterations, fmt.Errorf("commute: embedding row %d: %w", row, err)
-		}
-		for i := 0; i < n; i++ {
-			emb.z[i*k+row] = x[i]
-		}
-		return st.Iterations, nil
-	}
-
-	if workers == 1 {
-		y := make([]float64, n)
-		x := make([]float64, n)
-		for row := 0; row < k; row++ {
-			iters, err := solveRow(lap, y, x, row)
-			emb.stats.PCGIterations += iters
-			if err != nil {
-				return nil, err
-			}
-		}
-		return emb, nil
-	}
-
-	// The row channel is pre-filled and buffered so a worker bailing
-	// out on error can never leave a blocked sender behind. Workers
-	// clone the one solver setup instead of rebuilding it per worker.
-	rows := make(chan int, k)
-	for row := 0; row < k; row++ {
-		rows <- row
-	}
-	close(rows)
-	errs := make(chan error, workers)
-	var iterTotal atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wlap := lap.Clone()
-			y := make([]float64, n)
-			x := make([]float64, n)
-			for row := range rows {
-				iters, err := solveRow(wlap, y, x, row)
-				iterTotal.Add(int64(iters))
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	emb.stats.PCGIterations = int(iterTotal.Load())
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-	return emb, nil
 }
 
 // sameComponents reports whether two solvers carry the identical
@@ -668,41 +580,13 @@ func (e *Embedding) EffectiveResistance(i, j int) float64 {
 
 // New returns the oracle the paper's experimental setup would pick:
 // exact when n is small enough that O(n³) is trivial (the Enron case),
-// otherwise the k-dimensional embedding. exactCutoff ≤ 0 selects a
-// default of 400 vertices.
-func New(g *graph.Graph, cfg Config, exactCutoff int) (Oracle, error) {
-	return NewTraced(g, cfg, exactCutoff, nil)
-}
-
-// NewTraced is New with observability spans emitted under parent (see
-// NewEmbeddingFromTraced); the exact regime emits a single "pinv" span
-// since the dense pseudoinverse has no stages worth splitting.
-func NewTraced(g *graph.Graph, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
-	if exactCutoff <= 0 {
-		exactCutoff = 400
-	}
-	if g.N() <= exactCutoff {
-		sp := parent.StartChild("pinv")
-		e := NewExact(g)
-		sp.SetInt("n", int64(g.N()))
-		sp.End()
-		return e, nil
-	}
-	return NewEmbeddingFromTraced(g, nil, cfg, parent)
-}
-
-// NewFrom is New with incremental reuse: when prev is an embedding
-// compatible with cfg (see NewEmbeddingFrom), the build warm-starts
-// from it; otherwise — including the small-n exact regime, where
-// builds are cheap and incremental machinery would buy nothing — it
-// behaves exactly like New.
-func NewFrom(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int) (Oracle, error) {
-	return NewFromTraced(g, prev, cfg, exactCutoff, nil)
-}
-
-// NewFromTraced is NewFrom with observability spans emitted under
-// parent — the streaming detector's per-push entry point.
-func NewFromTraced(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
+// otherwise the k-dimensional embedding, built by NewEmbedding from
+// prev when prev is a compatible embedding (nil, or an exact oracle,
+// builds cold). exactCutoff ≤ 0 selects a default of 400 vertices.
+// parent scopes the build's spans (nil disables them); the exact
+// regime emits a single "pinv" span since the dense pseudoinverse has
+// no stages worth splitting.
+func New(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
 	if exactCutoff <= 0 {
 		exactCutoff = 400
 	}
@@ -714,5 +598,14 @@ func NewFromTraced(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, par
 		return e, nil
 	}
 	prevEmb, _ := prev.(*Embedding)
-	return NewEmbeddingFromTraced(g, prevEmb, cfg, parent)
+	return NewEmbedding(g, prevEmb, cfg, parent)
+}
+
+// NewIncrementalFromTraced is New under its former name.
+//
+// Deprecated: use New. The name stays only because the end-to-end push
+// benchmark module (pushbench/) calls it, and that module changes only
+// together with the benchmark's definition.
+func NewIncrementalFromTraced(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
+	return New(g, prev, cfg, exactCutoff, parent)
 }

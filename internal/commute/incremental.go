@@ -41,66 +41,10 @@ import (
 // null space; think bridge deletions), a singular capacitance matrix
 // (the same condition caught algebraically), or no retained state.
 
-// NewEmbeddingIncremental builds the oracle for g choosing between the
-// low-rank incremental correction, a warm-started blocked solve, and a
-// cold build — in that order of preference — by diffing g against the
-// previous embedding's graph. The decision is recorded in
-// Stats().Mode. With Config.SparsifyTargetNNZ set, dense snapshots are
-// first capped by effective-resistance sampling (the previous
-// embedding supplies the resistances). prev is ignored under the same
-// compatibility rules as NewEmbeddingFrom.
-func NewEmbeddingIncremental(g *graph.Graph, prev *Embedding, cfg Config) (*Embedding, error) {
-	return NewEmbeddingIncrementalTraced(g, prev, cfg, nil)
-}
-
-// NewEmbeddingIncrementalTraced is NewEmbeddingIncremental with
-// observability spans under parent: "sparsify" (when the pre-solver
-// cap ran), then either the warm/cold build's usual spans or the
-// incremental path's "woodbury" (base solves + dense correction) and
-// "pcg" (the verification solve).
-func NewEmbeddingIncrementalTraced(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*Embedding, error) {
-	if prev == nil || !cfg.SharedProjections || prev.g == nil ||
-		prev.n > g.N() || prev.key != cfg.key() {
-		// A grown snapshot (prev.n < g.N()) keeps prev: the retained
-		// block warm-starts row extension. Only a shrunk one discards.
-		prev = nil
-	}
-	var dropped int
-	// Sparsification and the Woodbury correction both index state sized
-	// to the previous snapshot (resistance estimates, the RHS block), so
-	// they require an unchanged vertex set; a grown snapshot falls
-	// through to the warm build, which extends the rows.
-	if cfg.SparsifyTargetNNZ > 0 && prev != nil && prev.n == g.N() {
-		g, dropped = sparsifyTraced(g, prev, cfg, parent)
-	}
-	if prev != nil && prev.n == g.N() && cfg.IncrementalUpdates && prev.y != nil {
-		diff, err := graph.DiffSupport(prev.g, g)
-		if err != nil {
-			diff = nil // unreachable given prev.n == g.N(); stay panic-free
-		}
-		if len(diff) > 0 && len(diff) <= cfg.incrementalMaxEdits() {
-			emb, err := buildEmbeddingWoodbury(g, prev, diff, cfg, parent)
-			if err != nil {
-				return nil, err
-			}
-			if emb != nil {
-				emb.stats.SparsifiedEdges = dropped
-				return emb, nil
-			}
-		}
-	}
-	emb, err := buildEmbedding(g, prev, cfg, parent)
-	if err != nil {
-		return nil, err
-	}
-	emb.stats.SparsifiedEdges = dropped
-	return emb, nil
-}
-
-// sparsifyTraced applies the effective-resistance cap to g using the
+// sparsify applies the effective-resistance cap to g using the
 // previous embedding's resistance estimates, emitting a "sparsify"
 // span with the kept/dropped split.
-func sparsifyTraced(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*graph.Graph, int) {
+func sparsify(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Span) (*graph.Graph, int) {
 	sp := parent.StartChild("sparsify")
 	gs, res := graph.SparsifyResistance(g, cfg.SparsifyTargetNNZ, cfg.Seed, prev.EffectiveResistance)
 	sp.SetInt("target_nnz", int64(cfg.SparsifyTargetNNZ))
@@ -110,14 +54,19 @@ func sparsifyTraced(g *graph.Graph, prev *Embedding, cfg Config, parent *obs.Spa
 	return gs, res.Dropped
 }
 
-// buildEmbeddingWoodbury attempts the low-rank corrected build for a
-// diff already within the edit budget. It returns (nil, nil) when the
-// edit is not correctable — changed component structure or a singular
-// capacitance — sending the caller down the warm path; a non-nil error
-// only for genuine solver failures.
-func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, cfg Config, parent *obs.Span) (*Embedding, error) {
+// correct attempts the low-rank corrected build of emb (whose solver
+// is already built) from prev, for a diff already within the edit
+// budget. It reports false when the edit is not correctable — changed
+// component structure, a base solve that fails on the previous
+// operator, or a singular capacitance — sending the caller down the
+// warm path on the same solver; an error only for a failed
+// verification solve. Base-solve iterations spent before a fallback
+// stay in the build's PCGIterations: the work was done.
+func (emb *Embedding) correct(prev *Embedding, diff []graph.Key, cfg Config, parent *obs.Span) (bool, error) {
+	g := emb.g
 	// Pure reweights cannot change the component structure; only edits
-	// that add or remove support need the O(n+m) labelling comparison.
+	// that add or remove support need the O(n) labelling comparison
+	// (the new solver already labelled g's components).
 	pure := true
 	for _, key := range diff {
 		if g.Weight(key.I, key.J) == 0 || prev.g.Weight(key.I, key.J) == 0 {
@@ -125,8 +74,8 @@ func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, c
 			break
 		}
 	}
-	if !pure && !componentsUnchanged(g, prev) {
-		return nil, nil
+	if !pure && !sameComponents(emb.lap, prev.lap) {
+		return false, nil
 	}
 	k := prev.k
 	scale := 1 / math.Sqrt(float64(k))
@@ -141,11 +90,6 @@ func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, c
 		}
 	}
 
-	// The new solver is still needed — for the verification solve now
-	// and as the next snapshot's base — and newEmbeddingShell's
-	// NewLaplacianFrom takes the patched fast path for pure reweights.
-	emb := newEmbeddingShell(g, prev, diff, cfg, parent)
-
 	sp := parent.StartChild("woodbury")
 	u, ustats, err := prev.lap.IncidenceSolves(updates, cfg.workers())
 	if err != nil {
@@ -153,7 +97,7 @@ func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, c
 		// a numerical red flag, not a config error: fall back to warm.
 		sp.SetString("fallback", "base solve: "+err.Error())
 		sp.End()
-		return nil, nil
+		return false, nil
 	}
 	for _, st := range ustats {
 		emb.stats.PCGIterations += st.Iterations
@@ -165,7 +109,7 @@ func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, c
 		// the identity cannot absorb (e.g. an effective bridge cut).
 		sp.SetString("fallback", err.Error())
 		sp.End()
-		return nil, nil
+		return false, nil
 	}
 	sp.SetInt("edits", int64(len(updates)))
 	sp.SetInt("base_solves", int64(len(updates)))
@@ -215,11 +159,11 @@ func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, c
 	}
 	sp.SetBool("verify_skipped", certified)
 	sp.End()
+	emb.stats.Mode = "incremental"
+	emb.stats.BaseSolves = len(updates)
 	if certified {
-		emb.stats.Mode = "incremental"
-		emb.stats.BaseSolves = len(updates)
 		emb.stats.VerifySkipped = true
-		return emb, nil
+		return true, nil
 	}
 
 	// Verify-and-polish on the new operator: a good correction is
@@ -231,60 +175,11 @@ func buildEmbeddingWoodbury(g *graph.Graph, prev *Embedding, diff []graph.Key, c
 	// iterations here buy several verification-free pushes. This is
 	// also the fallback of last resort — even a terrible correction is
 	// just a bad warm guess here.
-	stats, err := emb.lap.SolveBlockFromTolTraced(emb.z, emb.y, k, cfg.workers(), cfg.Solver.Tolerance()/4, parent)
-	for _, st := range stats {
-		emb.stats.PCGIterations += st.Iterations
-		if st.Iterations > emb.stats.BlockIterations {
-			emb.stats.BlockIterations = st.Iterations
-		}
-	}
+	stats, err := emb.lap.SolveBlockWith(emb.z, emb.y, k, cfg.workers(), true, cfg.Solver.Tolerance()/4, parent)
+	emb.addIterations(stats)
 	if err != nil {
-		return nil, fmt.Errorf("commute: incremental verification solve: %w", err)
+		return false, fmt.Errorf("commute: incremental verification solve: %w", err)
 	}
-	emb.resBound = make([]float64, k)
-	emb.normB = make([]float64, k)
-	for c, st := range stats {
-		emb.resBound[c] = st.Residual * st.NormB
-		emb.normB[c] = st.NormB
-	}
-	emb.stats.Mode = "incremental"
-	emb.stats.BaseSolves = len(updates)
-	return emb, nil
-}
-
-// componentsUnchanged reports whether g has exactly the previous
-// solver's component labelling — the Woodbury identity's null-space
-// precondition. Both labellings come from the same deterministic DFS,
-// so equal structure means equal labels.
-func componentsUnchanged(g *graph.Graph, prev *Embedding) bool {
-	comp, ncomp := g.Components()
-	pcomp, pncomp := prev.lap.Components()
-	if ncomp != pncomp || len(comp) != len(pcomp) {
-		return false
-	}
-	for i := range comp {
-		if comp[i] != pcomp[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// NewIncrementalFromTraced is NewFromTraced routed through the
-// incremental chooser: the streaming detector's per-push entry point
-// once Config.IncrementalUpdates or Config.SparsifyTargetNNZ is set.
-// With both off it behaves exactly like NewFromTraced.
-func NewIncrementalFromTraced(g *graph.Graph, prev Oracle, cfg Config, exactCutoff int, parent *obs.Span) (Oracle, error) {
-	if exactCutoff <= 0 {
-		exactCutoff = 400
-	}
-	if g.N() <= exactCutoff {
-		sp := parent.StartChild("pinv")
-		e := NewExact(g)
-		sp.SetInt("n", int64(g.N()))
-		sp.End()
-		return e, nil
-	}
-	prevEmb, _ := prev.(*Embedding)
-	return NewEmbeddingIncrementalTraced(g, prevEmb, cfg, parent)
+	emb.certify(stats)
+	return true, nil
 }

@@ -41,11 +41,11 @@ func editGraph(rng *rand.Rand, g *graph.Graph, edits int) *graph.Graph {
 func TestEmbeddingFromUnchangedGraphIsBitIdentical(t *testing.T) {
 	g := benchGraph(300)
 	cfg := Config{K: 12, Seed: 9, SharedProjections: true}
-	cold, err := NewEmbedding(g, cfg)
+	cold, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewEmbeddingFrom(g, cold, cfg)
+	warm, err := NewEmbedding(g, cold, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +72,15 @@ func TestEmbeddingFromSmallEditAgreesWithCold(t *testing.T) {
 	g1 := editGraph(rng, g0, 5)
 	cfg := Config{K: 12, Seed: 9, SharedProjections: true}
 
-	prev, err := NewEmbedding(g0, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := NewEmbeddingFrom(g1, prev, cfg)
+	warm, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestEmbeddingFromSmallEditAgreesWithCold(t *testing.T) {
 func TestEmbeddingFromRejectsIncompatiblePrev(t *testing.T) {
 	g := benchGraph(300)
 	base := Config{K: 10, Seed: 1, SharedProjections: true}
-	prev, err := NewEmbedding(g, base)
+	prev, err := NewEmbedding(g, nil, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEmbeddingFromRejectsIncompatiblePrev(t *testing.T) {
 		{K: 10, Seed: 1, SharedProjections: false}, // shared off
 	}
 	for ci, cfg := range cases {
-		emb, err := NewEmbeddingFrom(g, prev, cfg)
+		emb, err := NewEmbedding(g, prev, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,17 +134,17 @@ func TestEmbeddingFromWorkersInvariant(t *testing.T) {
 	g0 := benchGraph(300)
 	g1 := editGraph(rng, g0, 4)
 	cfg := Config{K: 8, Seed: 3, SharedProjections: true}
-	prev, err := NewEmbedding(g0, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewEmbeddingFrom(g1, prev, cfg)
+	seq, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgPar := cfg
 	cfgPar.Workers = 4
-	par, err := NewEmbeddingFrom(g1, prev, cfgPar)
+	par, err := NewEmbedding(g1, prev, cfgPar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEmbeddingFromWorkersInvariant(t *testing.T) {
 func TestSharedProjectionsApproximatesExact(t *testing.T) {
 	g := benchGraph(250)
 	exact := NewExact(g)
-	emb, err := NewEmbedding(g, Config{K: 200, Seed: 5, SharedProjections: true})
+	emb, err := NewEmbedding(g, nil, Config{K: 200, Seed: 5, SharedProjections: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestEmbeddingProbeDeterministic(t *testing.T) {
 		want string
 	}{{benchGraph(300), "jacobi"}, {tieredPath(rng, 300, 280), "tree"}} {
 		g := c.g
-		a, err := NewEmbedding(g, cfg)
+		a, err := NewEmbedding(g, nil, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewEmbedding(g, cfg)
+		b, err := NewEmbedding(g, nil, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,14 +251,14 @@ func TestEmbeddingFromKeepsPinAcrossDegreeCrossing(t *testing.T) {
 		t.Fatalf("average degree %.2f after the clique, want > 4", d)
 	}
 	cfg := Config{K: 8, Seed: 5, SharedProjections: true, Solver: solver.Options{Tol: 1e-5}}
-	cold, err := NewEmbedding(g0, cfg)
+	cold, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := cold.Stats(); st.Precond != "tree" || !st.Probed || st.ProbeIterations == 0 {
 		t.Fatalf("cold build: %+v, want a probed tree pin", st)
 	}
-	warm, err := NewEmbeddingFrom(g1, cold, cfg)
+	warm, err := NewEmbedding(g1, cold, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package commute
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"dyngraph/internal/graph"
+	"dyngraph/internal/obs"
 )
 
 // incCfg is the incremental-path test configuration: shared
@@ -13,6 +15,13 @@ import (
 // edit budget is 3.
 func incCfg() Config {
 	return Config{K: 12, Seed: 9, SharedProjections: true, IncrementalUpdates: true}
+}
+
+// warmCfg is cfg with the low-rank path off, so a build from a previous
+// embedding takes the warm blocked solve.
+func warmCfg(cfg Config) Config {
+	cfg.IncrementalUpdates = false
+	return cfg
 }
 
 // reweightSome returns g with m existing edges reweighted (support
@@ -54,7 +63,7 @@ func TestIncrementalReweightAgreesWithWarmAndCold(t *testing.T) {
 	g1 := reweightSome(rng, g0, 2)
 	cfg := incCfg()
 
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +74,7 @@ func TestIncrementalReweightAgreesWithWarmAndCold(t *testing.T) {
 		t.Fatal("IncrementalUpdates build did not retain its RHS block")
 	}
 
-	inc, err := NewEmbeddingIncremental(g1, prev, cfg)
+	inc, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +89,11 @@ func TestIncrementalReweightAgreesWithWarmAndCold(t *testing.T) {
 		t.Fatal("incremental build must report Warm")
 	}
 
-	warm, err := NewEmbeddingFrom(g1, prev, cfg)
+	warm, err := NewEmbedding(g1, prev, warmCfg(cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,18 +136,18 @@ func TestIncrementalInsertDeleteWithinComponent(t *testing.T) {
 		}
 	}
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewEmbeddingIncremental(g1, prev, cfg)
+	inc, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inc.Stats().Mode != "incremental" {
 		t.Fatalf("component-preserving insert+delete mode = %q, want incremental", inc.Stats().Mode)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +160,11 @@ func TestIncrementalBudgetFallsBackToWarm(t *testing.T) {
 	g0 := benchGraph(400)
 	g1 := reweightSome(rng, g0, 10) // budget is k/4 = 3
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +173,7 @@ func TestIncrementalBudgetFallsBackToWarm(t *testing.T) {
 	}
 	// And a raised budget accepts the same edit.
 	cfg.IncrementalMaxEdits = 16
-	emb2, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb2, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +208,18 @@ func TestIncrementalComponentSplitFallsBack(t *testing.T) {
 	g1 := b.MustBuild() // two components
 
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := emb.Stats(); st.Mode != "warm" {
 		t.Fatalf("bridge deletion took mode %q, want warm fallback", st.Mode)
 	}
-	cold, err := NewEmbedding(g1, cfg)
+	cold, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +227,11 @@ func TestIncrementalComponentSplitFallsBack(t *testing.T) {
 
 	// The reverse edit — re-inserting the bridge merges two components —
 	// must equally fall back.
-	prev2, err := NewEmbeddingIncremental(g1, nil, cfg)
+	prev2, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := NewEmbeddingIncremental(g0, prev2, cfg)
+	merged, err := NewEmbedding(g0, prev2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +246,11 @@ func TestIncrementalComponentSplitFallsBack(t *testing.T) {
 func TestIncrementalUnchangedGraphBitIdentical(t *testing.T) {
 	g := benchGraph(300)
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g, nil, cfg)
+	prev, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emb, err := NewEmbeddingIncremental(g, prev, cfg)
+	emb, err := NewEmbedding(g, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,21 +277,21 @@ func TestIncrementalVerifySkipIsBitIdentical(t *testing.T) {
 	g := benchGraph(400)
 	cfg := incCfg()
 	cfg.Solver.Tol = 1e-5
-	prev, err := NewEmbeddingIncremental(g, nil, cfg)
+	prev, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	skipped := 0
 	for push := 0; push < 30; push++ {
 		g = reweightSome(rng, g, 1)
-		emb, err := NewEmbeddingIncremental(g, prev, cfg)
+		emb, err := NewEmbedding(g, prev, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := emb.Stats(); st.Mode == "incremental" && st.VerifySkipped {
 			skipped++
 			zc := append([]float64(nil), emb.z...)
-			stats, err := emb.lap.SolveBlockFrom(zc, emb.y, emb.k, 1)
+			stats, err := emb.lap.SolveBlockWith(zc, emb.y, emb.k, 1, true, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,17 +320,17 @@ func TestIncrementalWorkersInvariant(t *testing.T) {
 	g0 := benchGraph(300)
 	g1 := reweightSome(rng, g0, 2)
 	cfg := incCfg()
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewEmbeddingIncremental(g1, prev, cfg)
+	seq, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgPar := cfg
 	cfgPar.Workers = 4
-	par, err := NewEmbeddingIncremental(g1, prev, cfgPar)
+	par, err := NewEmbedding(g1, prev, cfgPar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +352,11 @@ func TestIncrementalFuzzAgainstWarmAndCold(t *testing.T) {
 	g := benchGraph(300)
 	cfg := incCfg()
 
-	incChain, err := NewEmbeddingIncremental(g, nil, cfg)
+	incChain, err := NewEmbedding(g, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmChain, err := NewEmbeddingFrom(g, nil, cfg)
+	warmChain, err := NewEmbedding(g, nil, warmCfg(cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,16 +364,16 @@ func TestIncrementalFuzzAgainstWarmAndCold(t *testing.T) {
 	const steps = 12
 	for step := 0; step < steps; step++ {
 		g = editGraph(rng, g, 1+rng.Intn(3))
-		incChain, err = NewEmbeddingIncremental(g, incChain, cfg)
+		incChain, err = NewEmbedding(g, incChain, cfg, nil)
 		if err != nil {
 			t.Fatalf("step %d incremental: %v", step, err)
 		}
 		modes[incChain.Stats().Mode]++
-		warmChain, err = NewEmbeddingFrom(g, warmChain, cfg)
+		warmChain, err = NewEmbedding(g, warmChain, warmCfg(cfg), nil)
 		if err != nil {
 			t.Fatalf("step %d warm: %v", step, err)
 		}
-		cold, err := NewEmbedding(g, cfg)
+		cold, err := NewEmbedding(g, nil, cfg, nil)
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}
@@ -398,14 +407,14 @@ func TestIncrementalSparsifiesDenseSnapshots(t *testing.T) {
 
 	cfg := incCfg()
 	cfg.SparsifyTargetNNZ = g0.NumEdges() // ≈ half the 2m stored entries
-	prev, err := NewEmbeddingIncremental(g0, nil, cfg)
+	prev, err := NewEmbedding(g0, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prev.Stats().SparsifiedEdges != 0 {
 		t.Fatalf("first build sparsified %d edges, want 0", prev.Stats().SparsifiedEdges)
 	}
-	emb, err := NewEmbeddingIncremental(g1, prev, cfg)
+	emb, err := NewEmbedding(g1, prev, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +428,7 @@ func TestIncrementalSparsifiesDenseSnapshots(t *testing.T) {
 	// The sparsifier approximates the graph spectrally; distances stay
 	// in the right ballpark (loose statistical bound, deterministic
 	// seeds).
-	full, err := NewEmbedding(g1, cfg)
+	full, err := NewEmbedding(g1, nil, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,5 +444,70 @@ func TestIncrementalSparsifiesDenseSnapshots(t *testing.T) {
 	}
 	if avg := relErr / pairs; avg > 0.6 {
 		t.Fatalf("sparsified distances drifted %.0f%% on average", 100*avg)
+	}
+}
+
+// Tracing never changes results: one builder serves traced and
+// untraced callers, so a cold → warm → incremental chain (verified and
+// verify-skipped pushes both) built under a live span and under a nil
+// one must agree bit-for-bit in z and exactly in BuildStats at every
+// step, while the live span records each path's stages.
+func TestTracingNeverChangesResults(t *testing.T) {
+	cfg := incCfg()
+	cfg.Solver.Tol = 1e-5
+	rng := rand.New(rand.NewSource(73))
+	graphs := []*graph.Graph{benchGraph(400)}
+	graphs = append(graphs, reweightSome(rng, graphs[0], 10)) // over budget: warm
+	for i := 0; i < 12; i++ {
+		graphs = append(graphs, reweightSome(rng, graphs[len(graphs)-1], 1))
+	}
+	tracer := obs.NewTracer(len(graphs))
+	var traced, plain *Embedding
+	modes := map[string]int{}
+	for step, g := range graphs {
+		root := tracer.Start("oracle")
+		a, err := NewEmbedding(g, traced, cfg, root)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewEmbedding(g, plain, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("step %d: traced stats %+v, untraced %+v", step, a.Stats(), b.Stats())
+		}
+		for i := range a.z {
+			if a.z[i] != b.z[i] {
+				t.Fatalf("step %d: traced z[%d] = %g, untraced %g", step, i, a.z[i], b.z[i])
+			}
+		}
+		mode := a.Stats().Mode
+		if a.Stats().VerifySkipped {
+			mode += "/skipped"
+		} else if mode == "incremental" {
+			mode += "/verified"
+		}
+		modes[mode]++
+		var stages []string
+		for _, c := range root.Children() {
+			stages = append(stages, c.Name())
+		}
+		want := map[string][]string{
+			"cold":                 {"precond", "projection", "pcg"},
+			"warm":                 {"precond", "projection", "pcg"},
+			"incremental/verified": {"precond", "woodbury", "pcg"},
+			"incremental/skipped":  {"precond", "woodbury"},
+		}[mode]
+		if fmt.Sprint(stages) != fmt.Sprint(want) {
+			t.Fatalf("step %d (%s): spans %v, want %v", step, mode, stages, want)
+		}
+		traced, plain = a, b
+	}
+	for _, m := range []string{"cold", "warm", "incremental/verified", "incremental/skipped"} {
+		if modes[m] == 0 {
+			t.Fatalf("chain never took %s: %v", m, modes)
+		}
 	}
 }

@@ -114,7 +114,7 @@ func (d *Detector) RunDetailed(seq *graph.Sequence) ([]Transition, []commute.Ora
 			}
 			root := d.tracer.Start("oracle")
 			root.SetInt("t", int64(t))
-			o, err := commute.NewTraced(seq.At(t), cfg, d.cfg.ExactCutoff, root)
+			o, err := commute.New(seq.At(t), nil, cfg, d.cfg.ExactCutoff, root)
 			root.End()
 			if err != nil {
 				return fmt.Errorf("core: oracle for instance %d: %w", t, err)

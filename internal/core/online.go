@@ -170,7 +170,7 @@ func (o *OnlineDetector) buildOracle(g *graph.Graph, t int, prev commute.Oracle,
 	if !cfg.SharedProjections {
 		cfg.Seed = cfg.Seed*1000003 + int64(t)
 	}
-	oracle, err := commute.NewIncrementalFromTraced(g, prev, cfg, o.cfg.ExactCutoff, sp)
+	oracle, err := commute.New(g, prev, cfg, o.cfg.ExactCutoff, sp)
 	if err != nil {
 		return nil, OracleStats{}, err
 	}

@@ -83,11 +83,11 @@ func Ablation(cfg AblationConfig) (*AblationResult, error) {
 	for _, j := range jobs {
 		for _, prec := range []solver.Precond{solver.PrecondAuto, solver.PrecondTree, solver.PrecondJacobi} {
 			start := time.Now()
-			_, err := commute.NewEmbedding(j.g, commute.Config{
+			_, err := commute.NewEmbedding(j.g, nil, commute.Config{
 				K:      cfg.K,
 				Seed:   cfg.Seed,
 				Solver: solver.Options{Precond: prec, MaxIter: 5000000},
-			})
+			}, nil)
 			res.Rows = append(res.Rows, AblationRow{
 				Workload: j.name,
 				Choice:   "embedding/" + prec.String(),
@@ -107,7 +107,7 @@ func Ablation(cfg AblationConfig) (*AblationResult, error) {
 		Seconds:  time.Since(start).Seconds(),
 	})
 	start = time.Now()
-	if _, err := commute.NewEmbedding(denseG, commute.Config{K: 50, Seed: cfg.Seed}); err != nil {
+	if _, err := commute.NewEmbedding(denseG, nil, commute.Config{K: 50, Seed: cfg.Seed}, nil); err != nil {
 		res.Rows = append(res.Rows, AblationRow{Workload: jobs[1].name, Choice: "oracle/embedding-k50", Err: err})
 	} else {
 		res.Rows = append(res.Rows, AblationRow{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dyngraph/internal/obs"
 	"dyngraph/internal/sparse"
 )
 
@@ -14,7 +15,7 @@ import (
 // the CSR arrays stream through the cache hierarchy once per block
 // iteration instead of once per column per iteration. The recurrences
 // stay mathematically — and, by construction of the sparse block
-// kernels, bit-for-bit — identical to k sequential SolveInto calls:
+// kernels, bit-for-bit — identical to k sequential single-vector solves:
 // each column carries its own alpha/beta/residual, converges on its
 // own schedule, and is deactivated (masked out of every kernel) the
 // moment it reaches tolerance, so stragglers don't pay for finished
@@ -88,28 +89,30 @@ func (s *Laplacian) adoptBlockScratch(prev *Laplacian) {
 // per-column Stats are returned. workers > 1 shards the SpMM rows
 // across that many goroutines; the result is identical for any value.
 //
-// Column c of the result is bit-identical to SolveInto on column c
-// alone. If any column fails to converge the other columns are still
-// solved and the error wraps ErrNoConvergence; per-column residuals
-// identify the stragglers.
+// Column c of the result is bit-identical to Solve on column c alone.
+// If any column fails to converge the other columns are still solved
+// and the error wraps ErrNoConvergence; per-column residuals identify
+// the stragglers. SolveBlock is SolveBlockWith cold, at the configured
+// tolerance and without a span.
 func (s *Laplacian) SolveBlock(x, b []float64, k, workers int) ([]Stats, error) {
-	return s.solveBlock(x, b, k, workers, false)
+	return s.SolveBlockWith(x, b, k, workers, false, 0, nil)
 }
 
-// SolveBlockFrom is SolveBlock warm-started: x's incoming columns are
-// the initial guesses (e.g. the previous snapshot's solution block)
-// and the solutions overwrite them. A column whose guess is already
-// within tolerance is returned bit-for-bit unchanged with zero
-// iterations, exactly like SolveFromInto.
-func (s *Laplacian) SolveBlockFrom(x, b []float64, k, workers int) ([]Stats, error) {
-	return s.solveBlock(x, b, k, workers, true)
-}
-
-// solveBlock runs the blocked PCG loop and records its mean per-column
-// iteration count, the history the pin's drift check reads (see
-// NewLaplacianFrom).
-func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Stats, error) {
-	stats, err := s.pcgBlock(x, b, k, workers, warm)
+// SolveBlockWith is the general block solve. warm makes x's incoming
+// columns the initial guesses (e.g. the previous snapshot's solution
+// block); a column whose guess is already within tolerance is returned
+// bit-for-bit unchanged with zero iterations. tol > 0 overrides the
+// solver's tolerance for this call only: the incremental embedding
+// path polishes its verification solves below the serving tolerance,
+// and the headroom is what its residual certificate spends to skip
+// later verifications. parent scopes a "pcg" span carrying the mode
+// and the iteration counts (nil disables it).
+//
+// The call's mean per-column iteration count is recorded as the
+// history the pin's drift check reads (see NewLaplacianFrom).
+func (s *Laplacian) SolveBlockWith(x, b []float64, k, workers int, warm bool, tol float64, parent *obs.Span) ([]Stats, error) {
+	sp := parent.StartChild(SolveSpanName)
+	stats, err := s.pcgBlock(x, b, k, workers, warm, tol, 0)
 	if len(stats) > 0 {
 		total := 0
 		for _, st := range stats {
@@ -117,14 +120,17 @@ func (s *Laplacian) solveBlock(x, b []float64, k, workers int, warm bool) ([]Sta
 		}
 		s.lastIters = float64(total) / float64(len(stats))
 	}
+	annotateSolve(sp, stats, k, warm, err)
+	sp.End()
 	return stats, err
 }
 
-// pcgBlock is the blocked PCG loop. Every kernel call performs, per
-// column, the same floating-point operations in the same order as the
-// single-RHS loop in solve — the bit-equality contract the equivalence
-// tests in block_test.go pin down.
-func (s *Laplacian) pcgBlock(x, b []float64, k, workers int, warm bool) ([]Stats, error) {
+// pcgBlock is the blocked PCG loop, run to tolerance tol or maxIter
+// iterations (≤ 0: the configured values, see limits). Every kernel
+// call performs, per column, the same floating-point operations in the
+// same order as the single-RHS loop in solve — the bit-equality
+// contract the equivalence tests in block_test.go pin down.
+func (s *Laplacian) pcgBlock(x, b []float64, k, workers int, warm bool, tol float64, maxIter int) ([]Stats, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("solver: SolveBlock non-positive block width %d", k)
 	}
@@ -140,8 +146,7 @@ func (s *Laplacian) pcgBlock(x, b []float64, k, workers int, warm bool) ([]Stats
 	beta := bs.colv[4*kk : 4*kk+k]
 	res := bs.colv[5*kk : 5*kk+k]
 	stats := make([]Stats, k)
-	tol := s.opt.tol()
-	maxIter := s.opt.maxIter(s.n)
+	tol, maxIter = s.limits(tol, maxIter)
 
 	// Block scratch is allocated with stride bs.k; when k < bs.k the
 	// kernels must still use stride k, so re-slice flat prefixes.
@@ -172,7 +177,7 @@ func (s *Laplacian) pcgBlock(x, b []float64, k, workers int, warm bool) ([]Stats
 	if warm {
 		// r = P b − L x0 per column, then the converged-guess early
 		// exit: a column already within tolerance is left bit-for-bit
-		// untouched (see SolveFromInto).
+		// untouched, exactly like solve's.
 		if len(active) > 0 {
 			s.spmm(q, x, k, activeOrNil(active, k), workers)
 			for _, c := range active {

@@ -27,7 +27,7 @@ func column(x []float64, k, c int) []float64 {
 	return out
 }
 
-// SolveBlock must agree with k sequential SolveInto calls — not just
+// SolveBlock must agree with k sequential single-vector solves — not just
 // within tolerance but bit-for-bit, because the block kernels perform
 // the same per-column arithmetic in the same order. The property test
 // sweeps random graphs (including disconnected ones), both
@@ -56,7 +56,7 @@ func TestSolveBlockMatchesSequentialBitwise(t *testing.T) {
 		var wantErr bool
 		for c := range cols {
 			x := make([]float64, n)
-			st, err := seq.SolveInto(x, cols[c])
+			st, err := seq.solve(x, cols[c], false, 0, 0)
 			want[c], wantStats[c] = x, st
 			if err != nil {
 				wantErr = true
@@ -88,8 +88,8 @@ func TestSolveBlockMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
-// Warm-started block solves must match k sequential SolveFromInto
-// calls bit-for-bit, including the converged-guess early exit that
+// Warm-started block solves must match k sequential warm single-vector
+// solves bit-for-bit, including the converged-guess early exit that
 // returns a column untouched with zero iterations.
 func TestSolveBlockFromMatchesSequentialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -120,7 +120,7 @@ func TestSolveBlockFromMatchesSequentialBitwise(t *testing.T) {
 		wantStats := make([]Stats, k)
 		for c := range cols {
 			x := append([]float64(nil), guesses[c]...)
-			st, err := seq.SolveFromInto(x, cols[c])
+			st, err := seq.solve(x, cols[c], true, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestSolveBlockFromMatchesSequentialBitwise(t *testing.T) {
 		blk := NewLaplacian(g1, opt)
 		x := blockOf(guesses)
 		b := blockOf(cols)
-		stats, err := blk.SolveBlockFrom(x, b, k, 1+rng.Intn(3))
+		stats, err := blk.SolveBlockWith(x, b, k, 1+rng.Intn(3), true, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestSolveBlockFromConvergedBlockIsFree(t *testing.T) {
 	}
 	x := blockOf(sols)
 	saved := append([]float64(nil), x...)
-	stats, err := s.SolveBlockFrom(x, blockOf(cols), k, 2)
+	stats, err := s.SolveBlockWith(x, blockOf(cols), k, 2, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"dyngraph/internal/graph"
+	"dyngraph/internal/obs"
 	"dyngraph/internal/sparse"
 )
 
@@ -194,10 +195,17 @@ const (
 	driftFactor = 2
 )
 
-// NewLaplacian prepares a solver for the Laplacian of g. Under
-// PrecondAuto it picks the preconditioner by probing (see PrecondAuto);
-// an explicit Options.Precond is used as given.
+// NewLaplacian prepares a solver for the Laplacian of g from scratch.
+// Under PrecondAuto it picks the preconditioner by probing (see
+// PrecondAuto); an explicit Options.Precond is used as given. It is
+// NewLaplacianFrom with no previous solver and no span.
 func NewLaplacian(g *graph.Graph, opt Options) *Laplacian {
+	return NewLaplacianFrom(g, nil, nil, nil, opt, nil)
+}
+
+// newCold is the cold build: the probe under PrecondAuto, the explicit
+// kind otherwise.
+func newCold(g *graph.Graph, opt Options) *Laplacian {
 	s := newLaplacianShell(g, opt)
 	if opt.Precond == PrecondAuto {
 		s.pickByProbe(g)
@@ -281,10 +289,7 @@ func (s *Laplacian) pickByProbe(g *graph.Graph) {
 // converges reports its true count; one that makes no progress reports
 // the solver's MaxIter.
 func (s *Laplacian) probeRun(x, b []float64) (int, float64) {
-	saved := s.opt
-	s.opt.MaxIter = probeIters
-	st, _ := s.solve(x, b, false)
-	s.opt = saved
+	st, _ := s.solve(x, b, false, 0, probeIters)
 	tol, maxIt := s.opt.tol(), float64(s.opt.maxIter(s.n))
 	switch {
 	case st.Residual <= tol:
@@ -318,7 +323,14 @@ func probeRHS(n int) []float64 {
 
 // NewLaplacianFrom prepares a solver for the Laplacian of g, reusing
 // the setup prev built for the previous snapshot prevG (same vertex
-// set) wherever that is sound; neither prev nor prevG is modified.
+// set) wherever that is sound; neither prev nor prevG is modified
+// beyond handing prev's block scratch to the new solver. diff must be
+// exactly graph.DiffSupport(prevG, g) — the streaming caller diffs
+// consecutive snapshots once per push and threads the result here. A
+// nil prev is a cold build (NewLaplacian); a nil prevG or a vertex-count
+// change skips reuse but keeps the pin. parent scopes a "precond" span
+// recording the preconditioner, the reuse path taken and any probe
+// (nil disables it).
 //
 // Under PrecondAuto the new solver keeps prev's preconditioner kind —
 // the stream's pin — on every path, cold fallbacks included; nothing
@@ -354,31 +366,21 @@ func probeRHS(n int) []float64 {
 //
 // Anything else falls back to a cold build of the pinned kind.
 // ReusedPrecond reports which path was taken.
-func NewLaplacianFrom(g, prevG *graph.Graph, prev *Laplacian, opt Options) *Laplacian {
-	var diff []graph.Key
-	if prev != nil && prevG != nil && prev.n == g.N() {
-		var err error
-		if diff, err = graph.DiffSupport(prevG, g); err != nil {
-			// Vertex counts differ (prev.n == g.N() rules this out
-			// today, but keep the reuse path panic-free): build cold.
-			prevG = nil
-		}
-	}
-	return NewLaplacianFromDiff(g, prevG, prev, diff, opt)
+func NewLaplacianFrom(g, prevG *graph.Graph, prev *Laplacian, diff []graph.Key, opt Options, parent *obs.Span) *Laplacian {
+	sp := parent.StartChild(PrecondSpanName)
+	s := rebuild(g, prevG, prev, diff, opt)
+	annotatePrecond(sp, s)
+	sp.End()
+	return s
 }
 
-// NewLaplacianFromDiff is NewLaplacianFrom for callers that already
-// hold DiffSupport(prevG, g) — the streaming incremental path diffs
-// consecutive snapshots to pick its build strategy and threads the
-// result here, so the edit support is walked once per push instead of
-// once per layer. diff must be exactly DiffSupport(prevG, g); a nil
-// prevG (or a vertex-count change) skips reuse but keeps the pin.
-func NewLaplacianFromDiff(g, prevG *graph.Graph, prev *Laplacian, diff []graph.Key, opt Options) *Laplacian {
+// rebuild is NewLaplacianFrom without the span.
+func rebuild(g, prevG *graph.Graph, prev *Laplacian, diff []graph.Key, opt Options) *Laplacian {
 	if prev == nil {
-		return NewLaplacian(g, opt)
+		return newCold(g, opt)
 	}
 	if opt.Precond == PrecondAuto && prev.drifted() {
-		s := NewLaplacian(g, opt)
+		s := newCold(g, opt)
 		s.reprobed = true
 		return s
 	}
@@ -573,16 +575,6 @@ func (s *Laplacian) Precond() Precond { return s.precond }
 // previous solver.
 func (s *Laplacian) Probe() Probe { return s.probe }
 
-// Project removes each component's mean from x in place — the
-// single-vector form of ProjectBlock, with bit-identical arithmetic to
-// one of its columns.
-func (s *Laplacian) Project(x []float64) {
-	if len(x) != s.n {
-		panic(fmt.Sprintf("solver: Project dimension mismatch: len(x)=%d, n=%d", len(x), s.n))
-	}
-	s.project(x)
-}
-
 // project removes each component's mean from x in place, mapping it
 // into the range of L (the orthogonal complement of the null space).
 // A connected graph takes a fast path without the component
@@ -636,43 +628,28 @@ func (s *Laplacian) applyPrecond(z, r []float64) {
 // iterate is returned together with ErrNoConvergence.
 func (s *Laplacian) Solve(b []float64) ([]float64, Stats, error) {
 	x := make([]float64, s.n)
-	st, err := s.solve(x, b, false)
+	st, err := s.solve(x, b, false, 0, 0)
 	return x, st, err
 }
 
-// SolveInto is the allocation-free Solve: the minimum-norm solution is
-// written into x (whose incoming contents are ignored). x and b must
-// both have length N.
-func (s *Laplacian) SolveInto(x, b []float64) (Stats, error) {
-	return s.solve(x, b, false)
-}
-
-// SolveFrom is Solve warm-started from the initial guess x0 (which is
-// not modified). A good guess — e.g. the solution of the same row's
-// system on the previous snapshot of a slowly changing graph — lets PCG
-// converge in a handful of iterations instead of O(√κ); a guess that is
-// already within tolerance returns unchanged with zero iterations.
-func (s *Laplacian) SolveFrom(x0, b []float64) ([]float64, Stats, error) {
-	if len(x0) != s.n {
-		return nil, Stats{}, fmt.Errorf("solver: SolveFrom dimension mismatch: len(x0)=%d, n=%d", len(x0), s.n)
+// limits resolves a call's tolerance and iteration cap: values ≤ 0 mean
+// the solver's configured ones.
+func (s *Laplacian) limits(tol float64, maxIter int) (float64, int) {
+	if tol <= 0 {
+		tol = s.opt.tol()
 	}
-	x := make([]float64, s.n)
-	copy(x, x0)
-	st, err := s.solve(x, b, true)
-	return x, st, err
+	if maxIter <= 0 {
+		maxIter = s.opt.maxIter(s.n)
+	}
+	return tol, maxIter
 }
 
-// SolveFromInto is the allocation-free warm start: x's incoming
-// contents are the initial guess, and the solution overwrites it.
-func (s *Laplacian) SolveFromInto(x, b []float64) (Stats, error) {
-	return s.solve(x, b, true)
-}
-
-// solve is the shared PCG loop behind every Solve variant. When warm is
+// solve is the single-vector PCG loop, run to tolerance tol or maxIter
+// iterations (≤ 0: the configured values, see limits). When warm is
 // true, x's incoming contents are the initial guess; otherwise x is
 // zeroed first. Either way the converged minimum-norm (per-component
 // mean-centered) solution is left in x.
-func (s *Laplacian) solve(x, b []float64, warm bool) (Stats, error) {
+func (s *Laplacian) solve(x, b []float64, warm bool, tol float64, maxIter int) (Stats, error) {
 	if len(b) != s.n || len(x) != s.n {
 		return Stats{}, fmt.Errorf("solver: Solve dimension mismatch: len(x)=%d, len(b)=%d, n=%d", len(x), len(b), s.n)
 	}
@@ -683,8 +660,7 @@ func (s *Laplacian) solve(x, b []float64, warm bool) (Stats, error) {
 		sparse.Zero(x) // the minimum-norm solution of L x = 0
 		return Stats{}, nil
 	}
-	tol := s.opt.tol()
-	maxIter := s.opt.maxIter(s.n)
+	tol, maxIter = s.limits(tol, maxIter)
 
 	if warm {
 		// r = P b − L x0. L x0 is already in range(L), but project r

@@ -36,6 +36,26 @@ func perturbGraph(rng *rand.Rand, g *graph.Graph, edits int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// rebuildFrom is NewLaplacianFrom with the diff of the two snapshots
+// taken here, untraced.
+func rebuildFrom(g, prevG *graph.Graph, prev *Laplacian, opt Options) *Laplacian {
+	diff, err := graph.DiffSupport(prevG, g)
+	if err != nil {
+		panic(err)
+	}
+	return NewLaplacianFrom(g, prevG, prev, diff, opt, nil)
+}
+
+// solveFrom runs the single-vector loop warm-started from a copy of
+// x0, at the configured tolerance.
+func solveFrom(s *Laplacian, x0, b []float64) ([]float64, Stats, error) {
+	x := append([]float64(nil), x0...)
+	st, err := s.solve(x, b, true, 0, 0)
+	return x, st, err
+}
+
+// A cold solve into a caller's buffer ignores its incoming contents
+// and matches Solve bit-for-bit.
 func TestSolveIntoMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnectedGraph(rng, 40)
@@ -45,13 +65,13 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float64, 40)
-	if _, err := s.SolveInto(got, b); err != nil {
+	got := projectedRHS(rng, 40) // garbage that must be overwritten
+	if _, err := s.solve(got, b, false, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("SolveInto[%d] = %g, Solve = %g", i, got[i], want[i])
+			t.Fatalf("solve into buffer [%d] = %g, Solve = %g", i, got[i], want[i])
 		}
 	}
 }
@@ -68,7 +88,7 @@ func TestSolveFromConvergedGuessIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, st, err := s.SolveFrom(x0, b)
+	x, st, err := solveFrom(s, x0, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +104,7 @@ func TestSolveFromConvergedGuessIsFree(t *testing.T) {
 
 // A warm start from an arbitrary guess must converge to the same
 // minimum-norm solution as a cold solve, within tolerance, and the
-// guess itself must not be modified by SolveFrom.
+// guess itself must not be modified.
 func TestSolveFromAgreesWithCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -98,13 +118,13 @@ func TestSolveFromAgreesWithCold(t *testing.T) {
 		}
 		x0 := projectedRHS(rng, n) // arbitrary (even uncentered would be fine)
 		saved := append([]float64(nil), x0...)
-		warm, _, err := s.SolveFrom(x0, b)
+		warm, _, err := solveFrom(s, x0, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range x0 {
 			if x0[i] != saved[i] {
-				t.Fatalf("SolveFrom modified its x0 argument at %d", i)
+				t.Fatalf("warm solve modified its x0 argument at %d", i)
 			}
 		}
 		scale := sparse.Norm2(cold) + 1
@@ -134,12 +154,12 @@ func TestSolveFromAcrossEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1 := NewLaplacianFrom(g1, g0, s0, opt)
+	s1 := rebuildFrom(g1, g0, s0, opt)
 	cold, coldSt, err := NewLaplacian(g1, opt).Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, warmSt, err := s1.SolveFrom(x0, b)
+	warm, warmSt, err := solveFrom(s1, x0, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +180,7 @@ func TestNewLaplacianFromSharesUnchangedSetup(t *testing.T) {
 	g := randomConnectedGraph(rng, 50)
 	opt := Options{Precond: PrecondTree} // share the forest, not just a diagonal
 	s0 := NewLaplacian(g, opt)
-	s1 := NewLaplacianFrom(g, g, s0, opt)
+	s1 := rebuildFrom(g, g, s0, opt)
 	if !s1.ReusedPrecond() {
 		t.Fatal("identical graph did not reuse the preconditioner")
 	}
@@ -190,7 +210,7 @@ func TestNewLaplacianFromPatchesForest(t *testing.T) {
 		g0 := randomConnectedGraph(rng, n)
 		g1 := perturbGraph(rng, g0, 3)
 		s0 := NewLaplacian(g0, Options{Precond: PrecondTree})
-		s1 := NewLaplacianFrom(g1, g0, s0, Options{Precond: PrecondTree})
+		s1 := rebuildFrom(g1, g0, s0, Options{Precond: PrecondTree})
 		cold := NewLaplacian(g1, Options{Precond: PrecondTree})
 
 		b := projectedRHS(rng, n)
@@ -230,7 +250,7 @@ func TestNewLaplacianFromFallsBackOnTopologyChange(t *testing.T) {
 	b1.SetEdge(3, 4, 1)
 	b1.SetEdge(2, 3, 1)
 	g1 := b1.MustBuild()
-	if s := NewLaplacianFrom(g1, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
+	if s := rebuildFrom(g1, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
 		t.Fatal("component-merging edge reused the forest")
 	}
 
@@ -239,13 +259,13 @@ func TestNewLaplacianFromFallsBackOnTopologyChange(t *testing.T) {
 	b2.SetEdge(0, 1, 1)
 	b2.SetEdge(3, 4, 1)
 	g2 := b2.MustBuild()
-	if s := NewLaplacianFrom(g2, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
+	if s := rebuildFrom(g2, g0, s0, Options{Precond: PrecondTree}); s.ReusedPrecond() {
 		t.Fatal("forest-edge deletion reused the forest")
 	}
 
 	// Sanity: the fallback solvers still solve their graphs correctly.
 	rng := rand.New(rand.NewSource(19))
-	s1 := NewLaplacianFrom(g1, g0, s0, Options{Precond: PrecondTree})
+	s1 := rebuildFrom(g1, g0, s0, Options{Precond: PrecondTree})
 	b := projectedRHS(rng, 5)
 	x, _, err := s1.Solve(b)
 	if err != nil {
@@ -354,7 +374,7 @@ func TestPinSurvivesColdFallback(t *testing.T) {
 		b := copyGraph(c.g)
 		c.edit(b)
 		g1 := b.MustBuild()
-		s1 := NewLaplacianFrom(g1, c.g, s0, opt)
+		s1 := rebuildFrom(g1, c.g, s0, opt)
 		if s1.Precond() != c.want || s1.ReusedPrecond() || s1.Probe().Ran {
 			t.Fatalf("%v fallback: precond %v, reused %v, probe %+v", c.want, s1.Precond(), s1.ReusedPrecond(), s1.Probe())
 		}
@@ -387,12 +407,12 @@ func TestPinReprobesOnceOnDrift(t *testing.T) {
 	var reG *graph.Graph
 	for push := 1; push <= 6; push++ {
 		next := uniformReweight(rng, g)
-		s1 := NewLaplacianFrom(next, g, s, opt)
+		s1 := rebuildFrom(next, g, s, opt)
 		if s1.Probe().Ran {
 			fired = append(fired, push)
 			re, reG = s1, next
 		}
-		if _, err := s1.SolveBlockFrom(x, y, k, 1); err != nil {
+		if _, err := s1.SolveBlockWith(x, y, k, 1, true, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("push %d: %v, est %.1f, %.1f iterations per column", push, s1.Precond(), s1.estIters, s1.lastIters)
@@ -408,7 +428,7 @@ func TestPinReprobesOnceOnDrift(t *testing.T) {
 		t.Fatal("re-probed solver not marked")
 	}
 	re.lastIters = 1e9
-	if s2 := NewLaplacianFrom(uniformReweight(rng, reG), reG, re, opt); s2.Probe().Ran || s2.Precond() != PrecondJacobi {
+	if s2 := rebuildFrom(uniformReweight(rng, reG), reG, re, opt); s2.Probe().Ran || s2.Precond() != PrecondJacobi {
 		t.Fatalf("re-probe fired on two consecutive pushes (precond %v)", s2.Precond())
 	}
 }

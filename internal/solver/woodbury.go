@@ -72,21 +72,23 @@ func (s *Laplacian) IncidenceSolves(updates []EdgeUpdate, workers int) ([]float6
 	// are O(Δw); the caller's verification solve on the new operator
 	// enforces the final tolerance either way (polishing when the
 	// correction falls short). Half the digits — √tol — suffice here
-	// and roughly halve the base-solve iteration count.
-	saved := s.opt
-	s.opt.Tol = math.Sqrt(saved.tol())
-	defer func() { s.opt = saved }()
+	// and roughly halve the base-solve iteration count. These solves
+	// run on the previous snapshot's solver and record no iteration
+	// history: the drift check of the next rebuild must read the
+	// serving-tolerance solves only.
+	tol := math.Sqrt(s.opt.tol())
+	var stats []Stats
+	var err error
 	if m == 1 {
 		// An n×1 row-major block is a plain vector; the single-RHS loop
 		// has far less per-nonzero overhead than the blocked kernel at
 		// k=1, and the rank-1 case is the streaming hot path.
-		st, err := s.solve(u, b, false)
-		if err != nil {
-			return nil, []Stats{st}, fmt.Errorf("solver: incidence solve: %w", err)
-		}
-		return u, []Stats{st}, nil
+		var st Stats
+		st, err = s.solve(u, b, false, tol, 0)
+		stats = []Stats{st}
+	} else {
+		stats, err = s.pcgBlock(u, b, m, workers, false, tol, 0)
 	}
-	stats, err := s.solveBlock(u, b, m, workers, false)
 	if err != nil {
 		return nil, stats, fmt.Errorf("solver: incidence solve: %w", err)
 	}

@@ -101,7 +101,7 @@ func TestWoodburyCorrectMatchesDirectSolve(t *testing.T) {
 		// under a from-scratch solve's iterations (at the serving
 		// tolerance of ~1e-5 it typically takes zero; at this test's
 		// 1e-10 the √tol base solves leave half the digits to polish).
-		stats, err := s2.SolveBlockFrom(z, y, k, 1)
+		stats, err := s2.SolveBlockWith(z, y, k, 1, true, 0, nil)
 		if err != nil {
 			t.Fatalf("trial %d (m=%d): verification solve: %v", trial, m, err)
 		}
@@ -244,6 +244,34 @@ func TestIncidenceSolvesValidatesEdges(t *testing.T) {
 	}
 }
 
+// Incidence solves run at √tol on the previous snapshot's solver; they
+// must not overwrite the iteration history of its serving-tolerance
+// block solve, which the next rebuild's drift check reads.
+func TestIncidenceSolvesKeepDriftHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n, k = 120, 6
+	g := randomConnectedGraph(rng, n)
+	s := NewLaplacian(g, Options{})
+	if _, err := s.SolveBlock(make([]float64, n*k), blockRHS(rng, n, k), k, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := s.lastIters
+	if want == 0 {
+		t.Fatal("block solve recorded no iteration history")
+	}
+	edges := g.Edges()
+	updates := []EdgeUpdate{
+		{I: edges[0].I, J: edges[0].J, DeltaW: 0.5},
+		{I: edges[7].I, J: edges[7].J, DeltaW: -0.25},
+	}
+	if _, _, err := s.IncidenceSolves(updates, 1); err != nil {
+		t.Fatal(err)
+	}
+	if s.lastIters != want {
+		t.Fatalf("IncidenceSolves changed the drift history: %g iterations per column, want %g", s.lastIters, want)
+	}
+}
+
 // A pure reweight must take the patched-values fast path: shared CSR
 // structure, shared component labelling, preconditioner updated at the
 // edited entries only — and solve to the same answer as a cold build.
@@ -254,7 +282,7 @@ func TestNewLaplacianFromPatchesReweightJacobi(t *testing.T) {
 	prev := NewLaplacian(g, opt)
 	g2, _ := reweightEdits(rng, g, 4)
 
-	s := NewLaplacianFrom(g2, g, prev, opt)
+	s := rebuildFrom(g2, g, prev, opt)
 	if !s.ReusedPrecond() || s.reuseKind != "patched" {
 		t.Fatalf("reweight-only diff took reuseKind %q, want patched", s.reuseKind)
 	}
@@ -298,7 +326,7 @@ func TestNewLaplacianFromPatchesReweightTree(t *testing.T) {
 	prev := NewLaplacian(g, opt)
 	g2, _ := reweightEdits(rng, g, 3)
 
-	s := NewLaplacianFrom(g2, g, prev, opt)
+	s := rebuildFrom(g2, g, prev, opt)
 	if !s.ReusedPrecond() || s.reuseKind != "patched" {
 		t.Fatalf("tree reweight diff took reuseKind %q, want patched", s.reuseKind)
 	}
@@ -337,7 +365,7 @@ func TestNewLaplacianFromInsertFallsColdOnJacobi(t *testing.T) {
 		}
 	}
 	g2 := b.MustBuild()
-	s := NewLaplacianFrom(g2, g, prev, opt)
+	s := rebuildFrom(g2, g, prev, opt)
 	if s.ReusedPrecond() {
 		t.Fatalf("insert diff reused the preconditioner (kind %q), want cold", s.reuseKind)
 	}
